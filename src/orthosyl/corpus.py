@@ -24,7 +24,10 @@ _BOM = "﻿"
 def load_corpus(source: str | Path | IO) -> list[str]:
     """Read sentences from a path or text/binary stream.
 
-    Strips a leading byte-order mark and trailing line terminators, and
+    Lines end at LF only: other code points that str.splitlines() treats
+    as breaks (CR alone, VT, FF, U+001C-U+001E, U+0085, U+2028, U+2029)
+    stay inside the line, so parallel files keep their alignment. Strips a
+    leading byte-order mark and one trailing CR from each line (CRLF), and
     NFC-normalizes every line. Invalid UTF-8 raises CorpusDecodeError
     naming the byte offset.
     """
@@ -41,8 +44,10 @@ def load_corpus(source: str | Path | IO) -> list[str]:
         ) from None
     if text.startswith(_BOM):
         text = text[len(_BOM):]
-    lines = text.splitlines()
-    return [unicodedata.normalize("NFC", line) for line in lines]
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [unicodedata.normalize("NFC", line.removesuffix("\r")) for line in lines]
 
 
 def write_corpus(lines: Iterable[str], destination: str | Path | IO) -> None:

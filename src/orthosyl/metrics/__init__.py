@@ -2,14 +2,12 @@
 
 from .bleu import BleuReport, bleu, sentence_bleu_smoothed
 from .correlation import pearson, similarity_correlation
-from .kernels import BACKEND as KERNEL_BACKEND
 from .lcs import aligned_pairs, corpus_lcsr, edit_distance, lcs_length, lcsr
 from .lebleu import lebleu, lebleu_report, word_similarity
 from .nbest import NBestEntry, NBestList, parse_nbest, rescore_nbest
 
 __all__ = [
     "BleuReport",
-    "KERNEL_BACKEND",
     "NBestEntry",
     "NBestList",
     "aligned_pairs",

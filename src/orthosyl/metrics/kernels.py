@@ -1,29 +1,84 @@
-"""Dynamic-programming string kernels: LCS length and edit distance.
+"""String kernels: LCS length and Levenshtein distance.
 
-These two O(m*n) table fills dominate corpus-scale metric runs (LCSR over
-every sentence pair, edit distance over every candidate word pair inside
-the fuzzy-match scorer), so both carry a numba @njit implementation with a
-pure-numpy anti-diagonal fallback.
+These two measures dominate corpus-scale metric runs (LCSR over every
+sentence pair, edit distance over every candidate word pair inside the
+fuzzy-match scorer). Both are bit-parallel: Python ints serve as unbounded
+bit vectors over the longer string, one bit per code point, so each code
+point of the shorter string costs a handful of big-int operations instead
+of a row of DP cells.
 
-Backend selection: numba when importable, unless the environment variable
-ORTHOSYL_KERNEL is set to "numpy". Both implementations of each kernel are
-importable directly for cross-checking and benchmarking.
+The plain O(m*n) table fills over code-point arrays (`encode`,
+`_lcs_len_py`, `_edit_distance_py`) are the reference the tests compare
+the bit-parallel kernels against.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_BACKEND = os.environ.get("ORTHOSYL_KERNEL", "").strip().lower()
 
-try:
-    from numba import njit
+def _match_masks(s: str) -> dict[str, int]:
+    """Map each code point of s to the bit mask of its positions in s."""
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in s:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    return peq
 
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAS_NUMBA = False
+
+def lcs_length(a: str, b: str) -> int:
+    """Length of the longest common subsequence of two strings.
+
+    Hyyrö (2004), "Bit-parallel LCS-length computation revisited": bit i of
+    v is cleared once position i of the longer string is matched, and the
+    LCS length is the number of cleared bits.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return 0
+    get = _match_masks(a).get
+    mask = (1 << len(a)) - 1
+    v = mask
+    for ch in b:
+        u = v & get(ch, 0)
+        v = ((v + u) | (v - u)) & mask
+    return len(a) - v.bit_count()
+
+
+def edit_distance(a: str, b: str) -> int:
+    """Levenshtein distance between two strings.
+
+    Myers (1999), "A fast bit-vector algorithm for approximate string
+    matching based on dynamic programming" (JACM 46(3)): pv/mv hold the
+    +1/-1 vertical deltas of the current DP column over the longer string.
+    Shifting a 1 into ph each step sets the top row to D[0][j] = j, which
+    makes the distance global rather than a substring search.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    get = _match_masks(a).get
+    m = len(a)
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for ch in b:
+        eq = get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & mask
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def encode(s: str) -> np.ndarray:
@@ -67,89 +122,3 @@ def _edit_distance_py(a: np.ndarray, b: np.ndarray) -> int:
             cur[j + 1] = best
         prev, cur = cur, prev
     return int(prev[n])
-
-
-def lcs_len_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """LCS length via a vectorized anti-diagonal sweep of the DP table."""
-    m, n = a.shape[0], b.shape[0]
-    if m == 0 or n == 0:
-        return 0
-    eq = np.equal.outer(a, b)
-    # d1/d2 hold diagonals k-1/k-2 of the padded table, indexed by row i
-    d2 = np.zeros(m + 1, dtype=np.int32)
-    d1 = np.zeros(m + 1, dtype=np.int32)
-    for k in range(2, m + n + 1):
-        lo = max(1, k - n)
-        hi = min(m, k - 1)
-        i = np.arange(lo, hi + 1)
-        j = k - i
-        vals = np.maximum(d1[i - 1], d1[i])
-        match = eq[i - 1, j - 1]
-        vals = np.where(match, np.maximum(vals, d2[i - 1] + 1), vals)
-        cur = np.zeros(m + 1, dtype=np.int32)
-        cur[lo:hi + 1] = vals
-        d2, d1 = d1, cur
-    return int(d1[m])
-
-
-def edit_distance_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Levenshtein distance via a vectorized anti-diagonal sweep."""
-    m, n = a.shape[0], b.shape[0]
-    if m == 0:
-        return n
-    if n == 0:
-        return m
-    eq = np.equal.outer(a, b)
-    d2 = np.zeros(m + 1, dtype=np.int32)  # diag k-2: only cell (0,0)=0 used
-    d1 = np.zeros(m + 1, dtype=np.int32)  # diag k-1
-    d1[0] = 1  # D[0,1]
-    d1[1] = 1  # D[1,0]
-    for k in range(2, m + n + 1):
-        lo = max(1, k - n)
-        hi = min(m, k - 1)
-        i = np.arange(lo, hi + 1)
-        j = k - i
-        cost = np.where(eq[i - 1, j - 1], 0, 1)
-        vals = np.minimum(d1[i - 1], d1[i]) + 1
-        vals = np.minimum(vals, d2[i - 1] + cost)
-        cur = np.zeros(m + 1, dtype=np.int32)
-        cur[lo:hi + 1] = vals
-        if k <= n:
-            cur[0] = k  # boundary D[0,k]
-        if k <= m:
-            cur[k] = k  # boundary D[k,0]
-        d2, d1 = d1, cur
-    return int(d1[m])
-
-
-if _HAS_NUMBA:
-    _lcs_len_numba = njit(cache=True, nogil=True)(_lcs_len_py)
-    _edit_distance_numba = njit(cache=True, nogil=True)(_edit_distance_py)
-else:  # pragma: no cover
-    _lcs_len_numba = None
-    _edit_distance_numba = None
-
-if _ENV_BACKEND == "numpy" or not _HAS_NUMBA:
-    BACKEND = "numpy"
-    _lcs_len_codes = lcs_len_numpy
-    _edit_distance_codes = edit_distance_numpy
-else:
-    BACKEND = "numba"
-    _lcs_len_codes = _lcs_len_numba
-    _edit_distance_codes = _edit_distance_numba
-
-
-def lcs_len_codes(a: np.ndarray, b: np.ndarray) -> int:
-    """LCS length of two code-point arrays using the selected backend."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return 0
-    return int(_lcs_len_codes(a, b))
-
-
-def edit_distance_codes(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance of two code-point arrays using the selected backend."""
-    if a.shape[0] == 0:
-        return int(b.shape[0])
-    if b.shape[0] == 0:
-        return int(a.shape[0])
-    return int(_edit_distance_codes(a, b))

@@ -5,12 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..errors import AlignmentError, EmptyInputError
-from .kernels import edit_distance_codes, encode, lcs_len_codes
-
-
-def lcs_length(a: str, b: str) -> int:
-    """Length of the longest common subsequence of two strings."""
-    return lcs_len_codes(encode(a), encode(b))
+from .kernels import edit_distance, lcs_length
 
 
 def lcsr(a: str, b: str) -> float:
@@ -22,11 +17,6 @@ def lcsr(a: str, b: str) -> float:
         return 1.0
     longer = max(len(a), len(b))
     return lcs_length(a, b) / longer
-
-
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance between two strings."""
-    return edit_distance_codes(encode(a), encode(b))
 
 
 def corpus_lcsr(pairs: Iterable[tuple[str, str]]) -> float:

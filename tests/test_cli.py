@@ -53,6 +53,11 @@ class TestSegmentDesegment:
             assert status == 0
             assert restored == lines
 
+    def test_unicode_line_separators_keep_line_count(self):
+        status, out = invoke(["segment", "--unit", "char"], "ab\x85cd\nx\u2028y\n")
+        assert status == 0
+        assert out == "a b _ c d\nx _ y\n"
+
     def test_word_scheme_is_identity(self):
         status, out = invoke(["segment", "--unit", "word"], MARATHI_W + "\n")
         assert status == 0

@@ -3,6 +3,7 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orthosyl.corpus import (
     load_corpus,
@@ -54,6 +55,22 @@ class TestLoad:
         path = tmp_path / "empty.txt"
         path.write_bytes(b"")
         assert load_corpus(path) == []
+
+    def test_only_lf_ends_a_line(self):
+        text = "ab\x85cd\nx\u2028y\rz\x0b\x0c\x1c\u2029\r\nlast"
+        assert load_corpus(io.StringIO(text)) == [
+            "ab\x85cd",
+            "x\u2028y\rz\x0b\x0c\x1c\u2029",
+            "last",
+        ]
+
+    @given(st.lists(st.text(st.one_of(
+        st.sampled_from("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff"),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+    ))))
+    def test_line_count_preserved(self, lines):
+        data = "".join(line + "\n" for line in lines)
+        assert len(load_corpus(io.StringIO(data))) == len(lines)
 
 
 class TestWrite:

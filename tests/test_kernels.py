@@ -1,51 +1,87 @@
-"""Kernel backends: numba and the pure-numpy fallback must agree."""
+"""Bit-parallel kernels against the plain-DP reference."""
 
-import os
+import itertools
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orthosyl.metrics import edit_distance, lcs_length
 from orthosyl.metrics import kernels
 
 
-def random_codes(rng, max_len=40):
-    return np.array(
-        [rng.randint(97, 104) for _ in range(rng.randint(0, max_len))],
-        dtype=np.int32,
-    )
+def assert_agrees(a: str, b: str) -> None:
+    ca, cb = kernels.encode(a), kernels.encode(b)
+    assert lcs_length(a, b) == kernels._lcs_len_py(ca, cb), (a, b)
+    assert edit_distance(a, b) == kernels._edit_distance_py(ca, cb), (a, b)
 
 
-def test_backends_agree_on_lcs():
-    rng = random.Random(3)
-    for _ in range(300):
-        a, b = random_codes(rng), random_codes(rng)
-        want = kernels._lcs_len_py(a, b)
-        assert kernels.lcs_len_numpy(a, b) == want
-        if kernels._lcs_len_numba is not None:
-            assert kernels._lcs_len_numba(a, b) == want
+def test_exhaustive_binary_alphabet():
+    words = ["".join(p) for n in range(7) for p in itertools.product("ab", repeat=n)]
+    for a in words:
+        for b in words:
+            assert_agrees(a, b)
 
 
-def test_backends_agree_on_edit_distance():
-    rng = random.Random(4)
-    for _ in range(300):
-        a, b = random_codes(rng), random_codes(rng)
-        want = kernels._edit_distance_py(a, b)
-        assert kernels.edit_distance_numpy(a, b) == want
-        if kernels._edit_distance_numba is not None:
-            assert kernels._edit_distance_numba(a, b) == want
+def random_pairs(seed):
+    # Lengths 0-200 put the highest bit of the vectors on both sides of the
+    # 30-, 60- and 64-bit boundaries of machine words and int digits.
+    rng = random.Random(seed)
+    for alphabet_size in (2, 4, 60):
+        alphabet = [chr(0x0915 + i) for i in range(alphabet_size)]
+        for _ in range(50):
+            yield (
+                "".join(rng.choices(alphabet, k=rng.randint(0, 200))),
+                "".join(rng.choices(alphabet, k=rng.randint(0, 200))),
+            )
+
+
+def test_lcs_agrees_with_plain_dp():
+    for a, b in random_pairs(3):
+        want = kernels._lcs_len_py(kernels.encode(a), kernels.encode(b))
+        assert lcs_length(a, b) == want, (a, b)
+
+
+def test_edit_distance_agrees_with_plain_dp():
+    for a, b in random_pairs(4):
+        want = kernels._edit_distance_py(kernels.encode(a), kernels.encode(b))
+        assert edit_distance(a, b) == want, (a, b)
+
+
+@pytest.mark.parametrize("n", [29, 30, 31, 59, 60, 61, 63, 64, 65])
+def test_lengths_at_word_boundaries(n):
+    rng = random.Random(n)
+    a = "".join(rng.choices("abc", k=n))
+    for m in (0, 1, n - 1, n, n + 1):
+        assert_agrees(a, "".join(rng.choices("abc", k=m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40), st.text(max_size=40))
+def test_arbitrary_text(a, b):
+    assert_agrees(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet=st.characters(min_codepoint=0x10000), max_size=20),
+       st.text(alphabet=st.characters(min_codepoint=0x10000), max_size=20))
+def test_astral_code_points(a, b):
+    assert_agrees(a, b)
 
 
 def test_empty_inputs():
-    empty = np.empty(0, dtype=np.int32)
-    abc = kernels.encode("abc")
-    assert kernels.lcs_len_codes(empty, abc) == 0
-    assert kernels.lcs_len_codes(empty, empty) == 0
-    assert kernels.edit_distance_codes(empty, abc) == 3
-    assert kernels.edit_distance_codes(abc, empty) == 3
-    assert kernels.edit_distance_codes(empty, empty) == 0
+    assert lcs_length("", "") == 0
+    assert edit_distance("", "") == 0
+    for s in ("a", "abc", "कखग", "\U0001F600x", "ab" * 70):
+        assert lcs_length(s, "") == lcs_length("", s) == 0
+        assert edit_distance(s, "") == edit_distance("", s) == len(s)
+
+
+@pytest.mark.parametrize("s", ["a", "abc", "कखग", "\U0001F600x\U0001F600", "ab" * 70])
+def test_identical_strings(s):
+    assert lcs_length(s, s) == len(s)
+    assert edit_distance(s, s) == 0
 
 
 def test_encode():
@@ -53,29 +89,3 @@ def test_encode():
     assert codes.dtype == np.int32
     assert list(codes) == [0x915, ord("a")]
     assert kernels.encode("").shape == (0,)
-
-
-def test_default_backend_is_numba():
-    assert kernels.BACKEND == "numba"
-
-
-@pytest.mark.parametrize("env_value,want", [("numpy", "numpy"), ("", "numba")])
-def test_env_flag_selects_backend(env_value, want):
-    code = (
-        "from orthosyl.metrics import kernels; "
-        "print(kernels.BACKEND); "
-        "print(kernels.lcs_len_codes(kernels.encode('abcd'), kernels.encode('abed'))); "
-        "print(kernels.edit_distance_codes(kernels.encode('ab'), kernels.encode('ax')))"
-    )
-    env = dict(os.environ)
-    if env_value:
-        env["ORTHOSYL_KERNEL"] = env_value
-    else:
-        env.pop("ORTHOSYL_KERNEL", None)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    backend, lcs_val, ed_val = out.stdout.split()
-    assert backend == want
-    assert (lcs_val, ed_val) == ("3", "1")
