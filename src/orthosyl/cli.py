@@ -270,6 +270,10 @@ def run(argv: list[str] | None = None, stdin=None, stdout=None) -> int:
         return 1
     except BrokenPipeError:
         return 1
+    except OSError as exc:
+        # missing, unreadable or unwritable files: a diagnostic, not a traceback
+        print(f"orthosyl {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

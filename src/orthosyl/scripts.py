@@ -7,8 +7,11 @@ given script fall out automatically (checked against unicodedata); offsets
 whose character deviates from the shared layout are patched by a small
 per-script exception table.
 
-Latin and Cyrillic are alphabetic: classification needs only the block
-ranges and a case-folded vowel set.
+Latin and Cyrillic are alphabetic: their letter ranges are mapped the same
+way, offset -> consonant or vowel, with the case-folded vowel rule applied
+once per code point when the table is built. So all eleven tables are
+offset maps built at import, and classification and script detection are
+one dict lookup per code point.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 from .errors import MixedScriptError, UnsupportedScriptError
 
@@ -99,6 +101,10 @@ _CYRILLIC_VOWELS = frozenset("аеёиоуыэюяіїєѣѵѫ")
 
 # Zero-width joiner / non-joiner attach to the current unit in any script.
 _UNIVERSAL_SIGNS = frozenset({"‌", "‍"})
+
+# classify's default, bound once: an Enum member lookup costs more than the
+# dict lookup it would default.
+_NON_SCRIPT = CharClass.NON_SCRIPT
 
 
 def _expand(spec: dict) -> dict:
@@ -218,26 +224,10 @@ class ScriptTable:
     def classify(self, ch: str) -> CharClass:
         if ch in _UNIVERSAL_SIGNS:
             return CharClass.OTHER_SIGN
-        cp = ord(ch)
-        if self.script.is_alphabetic:
-            if any(lo <= cp <= hi for lo, hi in self._ranges()):
-                folded = ch.casefold()
-                if folded and folded[0] in self.vowel_set:
-                    return CharClass.INDEPENDENT_VOWEL
-                return CharClass.CONSONANT
-            return CharClass.NON_SCRIPT
-        if not (self.block_start <= cp <= self.block_end):
-            return CharClass.NON_SCRIPT
-        return self.class_by_offset.get(cp - self.block_start, CharClass.NON_SCRIPT)
+        return self.class_by_offset.get(ord(ch) - self.block_start, _NON_SCRIPT)
 
     def is_plosive(self, ch: str) -> bool:
-        cp = ord(ch)
-        if not (self.block_start <= cp <= self.block_end):
-            return False
-        return (cp - self.block_start) in self.plosive_offsets
-
-    def _ranges(self):
-        return _LATIN_RANGES if self.script is ScriptId.LATIN else _CYRILLIC_RANGES
+        return (ord(ch) - self.block_start) in self.plosive_offsets
 
 
 def _build_indic_table(script: ScriptId) -> ScriptTable:
@@ -265,11 +255,21 @@ def _build_indic_table(script: ScriptId) -> ScriptTable:
 def _build_alpha_table(script: ScriptId) -> ScriptTable:
     ranges = _LATIN_RANGES if script is ScriptId.LATIN else _CYRILLIC_RANGES
     vowels = _LATIN_VOWELS if script is ScriptId.LATIN else _CYRILLIC_VOWELS
+    start = ranges[0][0]
+    class_by_offset = {
+        cp - start: (
+            CharClass.INDEPENDENT_VOWEL
+            if chr(cp).casefold()[:1] in vowels
+            else CharClass.CONSONANT
+        )
+        for lo, hi in ranges
+        for cp in range(lo, hi + 1)
+    }
     return ScriptTable(
         script=script,
-        block_start=ranges[0][0],
+        block_start=start,
         block_end=ranges[-1][1],
-        class_by_offset={},
+        class_by_offset=class_by_offset,
         plosive_offsets=frozenset(),
         vowel_set=vowels,
     )
@@ -282,6 +282,15 @@ TABLES: dict[ScriptId, ScriptTable] = {
 }
 
 SUPPORTED_SCRIPTS = tuple(TABLES)
+
+# Letter -> the one script whose table classifies it as a letter (the
+# blocks are disjoint, so there is never a second one).
+_SCRIPT_OF_LETTER = {
+    chr(table.block_start + off): script
+    for script, table in TABLES.items()
+    for off, cls in table.class_by_offset.items()
+    if cls in LETTER_CLASSES
+}
 
 
 def get_table(script: ScriptId) -> ScriptTable:
@@ -296,21 +305,6 @@ def classify(ch: str, script: ScriptId) -> CharClass:
     return get_table(script).classify(ch)
 
 
-@lru_cache(maxsize=None)
-def _script_of_letter(cp: int) -> ScriptId | None:
-    """Script whose block holds this code point as a letter, if any."""
-    ch = chr(cp)
-    for script, start in _INDIC_BLOCKS.items():
-        if start <= cp < start + _BLOCK_SIZE:
-            if TABLES[script].classify(ch) in LETTER_CLASSES:
-                return script
-            return None
-    for script in (ScriptId.LATIN, ScriptId.CYRILLIC):
-        if TABLES[script].classify(ch) in LETTER_CLASSES:
-            return script
-    return None
-
-
 def detect_script(word: str) -> ScriptId:
     """Script of a word, decided by its letter code points only.
 
@@ -320,7 +314,7 @@ def detect_script(word: str) -> ScriptId:
     """
     found: ScriptId | None = None
     for ch in word:
-        script = _script_of_letter(ord(ch))
+        script = _SCRIPT_OF_LETTER.get(ch)
         if script is None:
             continue
         if found is None:

@@ -9,7 +9,6 @@ be reconstructed exactly by concatenating units between markers.
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -17,6 +16,7 @@ from .errors import (
     LexiconFormatError,
     MalformedStreamError,
     MarkerCollisionError,
+    OrthosylError,
     ParameterError,
 )
 from .scripts import ScriptId
@@ -123,23 +123,27 @@ class MorphLexicon:
 
     @classmethod
     def load(cls, path: str) -> "MorphLexicon":
+        """Read a lexicon file the way load_corpus reads a corpus.
+
+        Lines end at LF only, one trailing CR is stripped, every line is
+        NFC-normalized, and invalid UTF-8 raises CorpusDecodeError naming
+        the byte offset. Empty lines are skipped.
+        """
+        from .corpus import load_corpus  # corpus imports this module
+
         lexicon = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                word, sep, rest = line.partition("\t")
-                if not sep:
-                    raise LexiconFormatError(
-                        f"line {lineno}: expected 'word TAB segments', got {line!r}"
-                    )
-                word = unicodedata.normalize("NFC", word)
-                segments = [unicodedata.normalize("NFC", s) for s in rest.split()]
-                try:
-                    lexicon.add(word, segments)
-                except LexiconFormatError as exc:
-                    raise LexiconFormatError(f"line {lineno}: {exc}") from None
+        for lineno, line in enumerate(load_corpus(path), start=1):
+            if not line:
+                continue
+            word, sep, rest = line.partition("\t")
+            if not sep:
+                raise LexiconFormatError(
+                    f"line {lineno}: expected 'word TAB segments', got {line!r}"
+                )
+            try:
+                lexicon.add(word, rest.split())
+            except LexiconFormatError as exc:
+                raise LexiconFormatError(f"line {lineno}: {exc}") from None
         return lexicon
 
 
@@ -270,10 +274,11 @@ def segment_corpus(
 ) -> Iterator[str]:
     """Tokenize a corpus line by line, preserving line count and order.
 
-    Per-line errors are reported with their 1-based line number; the run
-    fails on the first error unless `skip_errors` is set, in which case the
-    offending line is passed through unchanged and the diagnostic goes to
-    `error_sink`.
+    Per-line errors (OrthosylError) are reported with their 1-based line
+    number; the run fails on the first error unless `skip_errors` is set, in
+    which case the offending line is passed through unchanged and the
+    diagnostic goes to `error_sink`. Any other exception is a programming
+    error and propagates unchanged, whatever `skip_errors` says.
     """
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -287,7 +292,7 @@ def segment_corpus(
                     on_marker_collision=on_marker_collision,
                 )
             )
-        except Exception as exc:
+        except OrthosylError as exc:
             if not skip_errors:
                 raise type(exc)(f"line {lineno}: {exc}") from None
             if error_sink is not None:

@@ -71,97 +71,75 @@ def _syllabify_indic_cached(word: str, script: ScriptId) -> tuple[OrthoSyllable,
     cls = [table.classify(ch) for ch in word]
     n = len(word)
     units: list[OrthoSyllable] = []
-    cur: list[str] = []
+    start = 0  # the open unit is word[start:i]
 
     def nasalizes(i: int) -> bool:
         # c1 at i is anusvara/chandrabindu; nasalizer unless a plosive follows
         return not (i + 1 < n and table.is_plosive(word[i + 1]))
 
-    def close() -> None:
-        if not cur:
+    def close(i: int) -> None:
+        nonlocal start
+        if start == i:
             return
-        first = table.classify(cur[0])
+        first = cls[start]
         if first in _NASAL_SIGNS:
             kind = OSKind.NASAL_CONSONANT
-        elif any(table.classify(c) is CharClass.CONSONANT for c in cur):
+        elif CharClass.CONSONANT in cls[start:i]:
             kind = OSKind.CONSONANT_CORE
         elif first is CharClass.INDEPENDENT_VOWEL:
             kind = OSKind.INDEPENDENT_VOWEL
         else:
             kind = OSKind.OTHER
-        units.append(OrthoSyllable("".join(cur), kind))
-        cur.clear()
+        units.append(OrthoSyllable(word[start:i], kind))
+        start = i
 
     def absorb_nasalizer(i: int) -> int:
         if i < n and cls[i] in _NASAL_SIGNS and nasalizes(i):
-            cur.append(word[i])
             i += 1
         return i
 
     i = 0
     while i < n:
         k = cls[i]
+        i += 1
         if k is CharClass.CONSONANT:
             # consume the whole cluster C(halanta C)*, nukta fused
             while True:
-                cur.append(word[i])
-                i += 1
                 while i < n and cls[i] is CharClass.NUKTA:
-                    cur.append(word[i])
                     i += 1
                 if i < n and cls[i] is CharClass.HALANTA:
-                    cur.append(word[i])
                     i += 1
                     while i < n and word[i] in _UNIVERSAL_SIGNS:
-                        cur.append(word[i])
                         i += 1
                     if i < n and cls[i] is CharClass.CONSONANT:
+                        i += 1
                         continue  # cluster grows through the halanta
-                    close()  # word-final (or dangling) halanta attaches
-                    break
-                if i < n and cls[i] is CharClass.DEPENDENT_VOWEL:
-                    cur.append(word[i])
-                    i = absorb_nasalizer(i + 1)
-                    close()
-                    break
-                if i < n and cls[i] in _NASAL_SIGNS and nasalizes(i):
-                    cur.append(word[i])
-                    i += 1
-                    close()
-                    break
-                # implicit schwa: next is a consonant, an independent vowel,
-                # a nasal-consonant sign, end of word, or a non-letter
-                close()
+                    # word-final (or dangling) halanta attaches
+                else:
+                    # a dependent vowel closes the cluster, and so does the
+                    # implicit schwa before anything else; either takes a
+                    # nasalizer along
+                    if i < n and cls[i] is CharClass.DEPENDENT_VOWEL:
+                        i += 1
+                    i = absorb_nasalizer(i)
                 break
-        elif k is CharClass.INDEPENDENT_VOWEL:
-            cur.append(word[i])
-            i = absorb_nasalizer(i + 1)
-            close()
-        elif k in _NASAL_SIGNS:
-            # nasal consonant: boundary was placed before it; it opens the
-            # next unit and fuses with the following cluster
-            cur.append(word[i])
-            i += 1
-        elif k is CharClass.DEPENDENT_VOWEL:
-            # stray matra (malformed input): keep it as its own unit
-            cur.append(word[i])
-            i = absorb_nasalizer(i + 1)
-            close()
-        elif k in (CharClass.HALANTA, CharClass.NUKTA):
-            # stray joiner (malformed input): carry into whatever follows
-            cur.append(word[i])
-            i += 1
-        else:
+            close(i)
+        elif k is CharClass.INDEPENDENT_VOWEL or k is CharClass.DEPENDENT_VOWEL:
+            # a dependent vowel here is a stray matra (malformed input):
+            # like an independent vowel it is a unit of its own
+            i = absorb_nasalizer(i)
+            close(i)
+        elif k in _NASAL_SIGNS or k is CharClass.HALANTA or k is CharClass.NUKTA:
+            # a nasal consonant opens the next unit and fuses with the
+            # following cluster; a stray joiner (malformed input) carries
+            # into whatever follows
+            pass
+        elif start == i - 1 and units:
             # visarga, other signs, and non-script marks attach leftwards
-            if cur:
-                cur.append(word[i])
-            elif units:
-                last = units[-1]
-                units[-1] = OrthoSyllable(last.text + word[i], last.kind)
-            else:
-                cur.append(word[i])
-            i += 1
-    close()
+            last = units[-1]
+            units[-1] = OrthoSyllable(last.text + word[i - 1], last.kind)
+            start = i
+    close(n)
     return tuple(units)
 
 

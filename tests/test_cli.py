@@ -236,6 +236,49 @@ class TestStatsSplit:
         assert "error" in proc.stderr
 
 
+def assert_one_line_error(proc, command):
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"orthosyl {command}: error: "), lines
+
+
+class TestFileErrors:
+    def test_lcsr_missing_files(self, tmp_path):
+        missing = str(tmp_path / "missing")
+        proc = invoke_process(["lcsr", "--a", missing, "--b", missing])
+        assert_one_line_error(proc, "lcsr")
+        assert "No such file" in proc.stderr
+
+    def test_missing_morph_lexicon(self, tmp_path):
+        proc = invoke_process(
+            ["segment", "--unit", "morph", "--morph-lexicon", str(tmp_path / "missing")],
+            "x\n",
+        )
+        assert_one_line_error(proc, "segment")
+
+    def test_invalid_utf8_morph_lexicon(self, tmp_path):
+        lex = tmp_path / "lex"
+        lex.write_bytes(b"ab\xff\tab\n")
+        proc = invoke_process(
+            ["segment", "--unit", "morph", "--morph-lexicon", str(lex)], "x\n"
+        )
+        assert_one_line_error(proc, "segment")
+        assert "byte offset 2" in proc.stderr
+
+    def test_split_unwritable_prefix(self, tmp_path):
+        prefix = str(tmp_path / "no-such-dir" / "x")
+        proc = invoke_process(["split", "--sizes", "1,0,0", "--out-prefix", prefix], "one\n")
+        assert_one_line_error(proc, "split")
+
+    def test_directory_as_input(self, tmp_path):
+        status, out = invoke(["score", "--metric", "bleu", "--hyp", str(tmp_path),
+                              "--ref", str(tmp_path)])
+        assert status == 1
+        assert out == ""
+
+
 class TestContract:
     def test_usage_error_exit_2(self):
         proc = invoke_process(["no-such-command"])

@@ -15,6 +15,8 @@ from orthosyl.scripts import (
     classify,
     detect_script,
     is_nasalizer,
+    _CYRILLIC_RANGES,
+    _LATIN_RANGES,
 )
 
 INDIC = [s for s in SUPPORTED_SCRIPTS if s.is_abugida]
@@ -178,11 +180,26 @@ def test_plosive_rows_devanagari():
         assert not table.is_plosive(ch), ch
 
 
-def test_alpha_tables_have_vowels_and_no_offsets():
-    for script in (ScriptId.LATIN, ScriptId.CYRILLIC):
+def test_alpha_tables_follow_casefold_vowel_rule():
+    for script, ranges in (
+        (ScriptId.LATIN, _LATIN_RANGES),
+        (ScriptId.CYRILLIC, _CYRILLIC_RANGES),
+    ):
         table = TABLES[script]
         assert table.vowel_set
-        assert not table.class_by_offset
+        for lo, hi in ranges:
+            for cp in range(lo, hi + 1):
+                ch = chr(cp)
+                folded = ch.casefold()
+                want = (
+                    CharClass.INDEPENDENT_VOWEL
+                    if folded and folded[0] in table.vowel_set
+                    else CharClass.CONSONANT
+                )
+                assert table.classify(ch) is want, f"U+{cp:04X} {script}"
+        # multiplication and division signs sit inside the Latin-1 letter range
+        assert table.classify("×") is CharClass.NON_SCRIPT
+        assert table.classify("÷") is CharClass.NON_SCRIPT
 
 
 @pytest.mark.parametrize(
@@ -201,6 +218,25 @@ def test_alpha_tables_have_vowels_and_no_offsets():
 )
 def test_detect_script(word, want):
     assert detect_script(word) is want
+
+
+def test_detect_script_exhaustive():
+    # a lone code point is detected as the one script whose table has it
+    # as a letter, or as Unsupported when no table does
+    chars = [chr(cp) for cp in range(0x110000)]
+    letter_classes = tuple(LETTER_CLASSES)  # skips Enum's Python-level __hash__
+    owner = {}
+    for script in SUPPORTED_SCRIPTS:
+        classes = map(TABLES[script].classify, chars)
+        letters = [ch for ch, cls in zip(chars, classes) if cls in letter_classes]
+        assert not owner.keys() & set(letters), f"{script} shares letters"
+        owner.update(dict.fromkeys(letters, script))
+    wrong = [
+        f"U+{ord(ch):04X}"
+        for ch in chars
+        if detect_script(ch) is not owner.get(ch, ScriptId.UNSUPPORTED)
+    ]
+    assert not wrong, wrong[:10]
 
 
 def test_detect_script_mixed():

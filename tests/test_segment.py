@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthosyl.errors import (
+    CorpusDecodeError,
     LexiconFormatError,
     MalformedStreamError,
     MarkerCollisionError,
@@ -114,6 +115,29 @@ class TestMorphLexicon:
         path.write_text("no-tab-here\n", encoding="utf-8")
         with pytest.raises(LexiconFormatError, match="line 1"):
             MorphLexicon.load(str(path))
+
+    def test_load_invalid_utf8_names_byte_offset(self, tmp_path):
+        path = tmp_path / "morphs.tsv"
+        path.write_bytes(b"ab\xff\tab\n")
+        with pytest.raises(CorpusDecodeError, match="byte offset 2") as info:
+            MorphLexicon.load(str(path))
+        assert info.value.byte_offset == 2
+
+    def test_load_only_lf_ends_a_line(self, tmp_path):
+        # a lone CR stays inside its line, as in load_corpus
+        path = tmp_path / "morphs.tsv"
+        path.write_bytes(b"xy\tx\ry\nzw\tz w\n")
+        lex = MorphLexicon.load(str(path))
+        assert lex.get("xy") == ("x", "y")
+        assert lex.get("zw") == ("z", "w")
+
+    def test_load_crlf_bom_and_line_numbers(self, tmp_path):
+        path = tmp_path / "morphs.tsv"
+        path.write_bytes(b"\xef\xbb\xbfab\ta b\r\n\r\nbad\r\n")
+        with pytest.raises(LexiconFormatError, match="line 3: .*'bad'$"):
+            MorphLexicon.load(str(path))
+        path.write_bytes(b"\xef\xbb\xbfab\ta b\r\n")
+        assert MorphLexicon.load(str(path)).get("ab") == ("a", "b")
 
 
 class TestTokenize:
@@ -255,6 +279,20 @@ class TestSegmentCorpus:
         )
         assert out == ["o k", "bad_line"]
         assert "line 2" in sink.getvalue()
+
+    def test_skip_errors_does_not_hide_programming_errors(self):
+        # only OrthosylError marks a bad line; anything else is a bug
+        sink = io.StringIO()
+        with pytest.raises(AttributeError):
+            list(
+                segment_corpus(
+                    ["ok", None, "x y"],
+                    UnitScheme.char_unigram(),
+                    skip_errors=True,
+                    error_sink=sink,
+                )
+            )
+        assert sink.getvalue() == ""
 
     def test_empty_corpus(self):
         assert list(segment_corpus([], UnitScheme.word())) == []

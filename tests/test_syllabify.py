@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthosyl.errors import EmptyInputError, MixedScriptError, UnsupportedScriptError
-from orthosyl.scripts import ScriptId
+from orthosyl.scripts import SUPPORTED_SCRIPTS, TABLES, CharClass, ScriptId, classify
 from orthosyl.syllabify import OSKind, syllabify, syllabify_alpha, syllabify_indic
 
 
@@ -253,3 +253,41 @@ def test_idempotent_boundaries(word):
     for unit in units:
         again = syllabify(unit.text)
         assert texts(again) == [unit.text]
+
+
+@st.composite
+def indic_block_words(draw):
+    """A script and a word of code points from anywhere in its block.
+
+    Unassigned offsets, stray matras and halantas, nukta, visarga and
+    ZWJ / ZWNJ all turn up, in any order.
+    """
+    script = draw(st.sampled_from([s for s in SUPPORTED_SCRIPTS if s.is_abugida]))
+    start = TABLES[script].block_start
+    alphabet = st.one_of(
+        st.integers(0, 0x7F).map(lambda off: chr(start + off)),
+        st.sampled_from(["\u200c", "\u200d"]),
+    )
+    return script, draw(st.text(alphabet=alphabet, min_size=1, max_size=14))
+
+
+def _kind_from_classes(text, script):
+    classes = [classify(ch, script) for ch in text]
+    if classes[0] in (CharClass.ANUSVARA, CharClass.CHANDRABINDU):
+        return OSKind.NASAL_CONSONANT
+    if CharClass.CONSONANT in classes:
+        return OSKind.CONSONANT_CORE
+    if classes[0] is CharClass.INDEPENDENT_VOWEL:
+        return OSKind.INDEPENDENT_VOWEL
+    return OSKind.OTHER
+
+
+@settings(max_examples=500)
+@given(indic_block_words())
+def test_kind_follows_unit_classes(script_word):
+    # each unit's kind is read off the classes of its own code points
+    script, word = script_word
+    units = syllabify_indic(word, script)
+    assert "".join(texts(units)) == unicodedata.normalize("NFC", word)
+    for unit in units:
+        assert unit.kind is _kind_from_classes(unit.text, script), (word, unit)
