@@ -13,7 +13,7 @@ import sys
 
 from . import corpus as corpus_io
 from . import metrics
-from .errors import OrthosylError
+from .errors import OrthosylError, raise_at_line
 from .scripts import SUPPORTED_SCRIPTS, ScriptId, classify
 from .segment import (
     DEFAULT_MARKER,
@@ -21,8 +21,8 @@ from .segment import (
     UnitScheme,
     detokenize,
     segment_corpus,
+    segment_word,
 )
-from .syllabify import syllabify
 
 _SCRIPT_NAMES = sorted(s.value for s in SUPPORTED_SCRIPTS)
 
@@ -143,19 +143,18 @@ def _cmd_desegment(args, stdin, stdout) -> None:
         try:
             print(detokenize(line.split(), args.marker), file=stdout)
         except OrthosylError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            raise_at_line(exc, lineno)
 
 
 def _cmd_syllabify(args, stdin, stdout) -> None:
+    scheme = UnitScheme.ortho_syllable()
     script = _parse_script(args.script)
     for lineno, line in enumerate(corpus_io.load_corpus(stdin), start=1):
         try:
-            units = [
-                unit.text for word in line.split() for unit in syllabify(word, script)
-            ]
+            units = [segment_word(word, scheme, script=script) for word in line.split()]
         except OrthosylError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-        print(" ".join(units), file=stdout)
+            raise_at_line(exc, lineno)
+        print(" ".join(" ".join(word_units) for word_units in units), file=stdout)
 
 
 def _cmd_classify(args, stdin, stdout) -> None:

@@ -29,18 +29,21 @@ def load_corpus(source: str | Path | IO) -> list[str]:
     stay inside the line, so parallel files keep their alignment. Strips a
     leading byte-order mark and one trailing CR from each line (CRLF), and
     NFC-normalizes every line. Invalid UTF-8 raises CorpusDecodeError
-    naming the byte offset.
+    naming the byte offset, and the path when one was given.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
+        where = f"{source}: "
     else:
         raw = source.read()
         data = raw.encode("utf-8") if isinstance(raw, str) else raw
+        where = ""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusDecodeError(
-            f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}", exc.start
+            f"{where}invalid UTF-8 at byte offset {exc.start}: {exc.reason}",
+            exc.start,
         ) from None
     if text.startswith(_BOM):
         text = text[len(_BOM):]

@@ -4,6 +4,8 @@ Every data-level failure raises a subclass of :class:`OrthosylError` so the
 CLI can map them uniformly to exit status 1.
 """
 
+from typing import NoReturn
+
 
 class OrthosylError(Exception):
     """Base class for all toolkit errors."""
@@ -59,3 +61,15 @@ class CorpusDecodeError(OrthosylError):
 
 class LexiconFormatError(OrthosylError):
     """A morph lexicon file entry is malformed or inconsistent."""
+
+
+def raise_at_line(exc: OrthosylError, lineno: int) -> NoReturn:
+    """Re-raise a per-line error with its 1-based line number attached.
+
+    The message gains a "line N: " prefix and the exception a `lineno`
+    attribute. It stays the same object, so its type and every other
+    attribute (CorpusDecodeError.byte_offset, say) survive.
+    """
+    exc.lineno = lineno
+    exc.args = (f"line {lineno}: {exc}",)
+    raise exc from None

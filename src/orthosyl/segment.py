@@ -10,6 +10,7 @@ be reconstructed exactly by concatenating units between markers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
@@ -18,6 +19,7 @@ from .errors import (
     MarkerCollisionError,
     OrthosylError,
     ParameterError,
+    raise_at_line,
 )
 from .scripts import ScriptId
 from .syllabify import syllabify
@@ -143,7 +145,7 @@ class MorphLexicon:
             try:
                 lexicon.add(word, rest.split())
             except LexiconFormatError as exc:
-                raise LexiconFormatError(f"line {lineno}: {exc}") from None
+                raise_at_line(exc, lineno)
         return lexicon
 
 
@@ -165,7 +167,11 @@ def segment_word(
     morphs: MorphLexicon | None = None,
     script: ScriptId | None = None,
 ) -> list[str]:
-    """Split one word into units; concatenating them restores the word."""
+    """Split one word into units; concatenating them restores the word.
+
+    OS units are cached per (word, script) for up to 65,536 words, so a
+    repeated word is syllabified once; each call returns a fresh list.
+    """
     if scheme.kind == _WORD:
         return [word]
     if scheme.kind == _MORPH:
@@ -178,7 +184,12 @@ def segment_word(
     if scheme.kind == _CHAR_NGRAM:
         n = scheme.n
         return [word[i:i + n] for i in range(0, len(word), n)]
-    return [unit.text for unit in syllabify(word, script)]
+    return list(_os_units(word, script))
+
+
+@lru_cache(maxsize=65536)
+def _os_units(word: str, script: ScriptId | None) -> tuple[str, ...]:
+    return tuple(unit.text for unit in syllabify(word, script))
 
 
 def tokenize_sentence(
@@ -294,7 +305,7 @@ def segment_corpus(
             )
         except OrthosylError as exc:
             if not skip_errors:
-                raise type(exc)(f"line {lineno}: {exc}") from None
+                raise_at_line(exc, lineno)
             if error_sink is not None:
                 print(f"line {lineno}: {exc}", file=error_sink)
             yield line

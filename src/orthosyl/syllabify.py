@@ -6,7 +6,9 @@ segmenter is a left-to-right state machine over classified code points;
 for alphabetic scripts it scans maximal C*V+ runs.
 
 Words are NFC-normalized before segmentation and the concatenation of the
-output units always reproduces the (normalized) word exactly.
+output units always reproduces the (normalized) word exactly. Every call
+segments its word afresh; callers that see repeated words cache the
+result (segment.segment_word does, for the OS unit scheme).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .errors import EmptyInputError, MixedScriptError, UnsupportedScriptError
 from .scripts import (
@@ -57,17 +58,12 @@ def syllabify_indic(word: str, script: ScriptId) -> list[OrthoSyllable]:
     """
     if not word:
         raise EmptyInputError("cannot syllabify an empty word")
-    get_table(script)
+    table = get_table(script)
     if not script.is_abugida:
         raise UnsupportedScriptError(
             f"{script.value} is not an abugida script; use syllabify_alpha"
         )
-    return list(_syllabify_indic_cached(unicodedata.normalize("NFC", word), script))
-
-
-@lru_cache(maxsize=65536)
-def _syllabify_indic_cached(word: str, script: ScriptId) -> tuple[OrthoSyllable, ...]:
-    table = get_table(script)
+    word = unicodedata.normalize("NFC", word)
     cls = [table.classify(ch) for ch in word]
     n = len(word)
     units: list[OrthoSyllable] = []
@@ -140,7 +136,7 @@ def _syllabify_indic_cached(word: str, script: ScriptId) -> tuple[OrthoSyllable,
             units[-1] = OrthoSyllable(last.text + word[i - 1], last.kind)
             start = i
     close(n)
-    return tuple(units)
+    return units
 
 
 def syllabify_alpha(

@@ -3,10 +3,13 @@
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from orthosyl.cli import run
+from orthosyl.corpus import load_corpus
+from orthosyl.syllabify import syllabify
 
 
 def invoke(argv, stdin_text=""):
@@ -105,6 +108,17 @@ class TestSyllabifyClassify:
         status, out = invoke(["syllabify"], "लक्षमी\nmumbai\n")
         assert status == 0
         assert out == "ल क्ष मी\nmu mbai\n"
+
+    def test_syllabify_hindi_sample(self):
+        path = Path(__file__).parent / "data" / "hindi_sample.txt"
+        lines = load_corpus(path)
+        want = "".join(
+            " ".join(u.text for word in line.split() for u in syllabify(word)) + "\n"
+            for line in lines
+        )
+        status, out = invoke(["syllabify"], path.read_text(encoding="utf-8"))
+        assert status == 0
+        assert out == want
 
     def test_classify_dump(self):
         status, out = invoke(["classify", "--script", "Devanagari"], "कीq\n")
@@ -266,6 +280,16 @@ class TestFileErrors:
         )
         assert_one_line_error(proc, "segment")
         assert "byte offset 2" in proc.stderr
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        good = tmp_path / "good.txt"
+        bad = tmp_path / "bad.txt"
+        good.write_text("ab\n", encoding="utf-8")
+        bad.write_bytes(b"a\xffb\n")
+        proc = invoke_process(["lcsr", "--a", str(good), "--b", str(bad)])
+        assert_one_line_error(proc, "lcsr")
+        assert f"error: {bad}: invalid UTF-8 at byte offset 1" in proc.stderr
+        assert str(good) not in proc.stderr
 
     def test_split_unwritable_prefix(self, tmp_path):
         prefix = str(tmp_path / "no-such-dir" / "x")

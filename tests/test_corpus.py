@@ -48,6 +48,21 @@ class TestLoad:
         assert exc_info.value.byte_offset == 3
         assert "byte offset 3" in str(exc_info.value)
 
+    def test_invalid_utf8_names_path(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"ok\n\xff")
+        with pytest.raises(CorpusDecodeError) as exc_info:
+            load_corpus(str(path))
+        assert str(exc_info.value) == (
+            f"{path}: invalid UTF-8 at byte offset 3: invalid start byte"
+        )
+        assert exc_info.value.byte_offset == 3
+
+    def test_invalid_utf8_stream_has_no_path(self):
+        with pytest.raises(CorpusDecodeError) as exc_info:
+            load_corpus(io.BytesIO(b"\xff"))
+        assert str(exc_info.value) == "invalid UTF-8 at byte offset 0: invalid start byte"
+
     def test_stream_input(self):
         assert load_corpus(io.StringIO("a\nb\n")) == ["a", "b"]
 

@@ -1,6 +1,7 @@
 """Unit schemes, boundary-marker tokenization and exact detokenization."""
 
 import io
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,11 @@ from orthosyl.errors import (
     LexiconFormatError,
     MalformedStreamError,
     MarkerCollisionError,
+    MixedScriptError,
     ParameterError,
+    raise_at_line,
 )
+from orthosyl.scripts import ScriptId
 from orthosyl.segment import (
     MARKER_SUBSTITUTE,
     MorphLexicon,
@@ -21,6 +25,7 @@ from orthosyl.segment import (
     segment_word,
     tokenize_sentence,
 )
+from orthosyl.syllabify import syllabify
 
 MARATHI_WORD = "घरासमोरचा"
 
@@ -94,6 +99,49 @@ class TestSegmentWord:
     def test_concatenation_restores_word(self, scheme):
         for word in (MARATHI_WORD, "mumbai", "x", "प्रत्येक"):
             assert "".join(segment_word(word, scheme)) == word
+
+
+def _block(lo, hi):
+    return st.characters(
+        min_codepoint=lo, max_codepoint=hi, blacklist_categories=("Cc", "Cs", "Zs")
+    )
+
+
+# Indic blocks (Devanagari through Malayalam), Latin, Cyrillic, joiners and
+# punctuation, mixed freely: some words are mixed-script on purpose.
+os_words_st = st.text(
+    alphabet=st.one_of(
+        _block(0x900, 0xD7F),
+        _block(0x41, 0x24F),
+        _block(0x400, 0x4FF),
+        st.sampled_from("\u200c\u200d,.!?-'"),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=300)
+@given(os_words_st, st.sampled_from([None, ScriptId.DEVANAGARI, ScriptId.LATIN]))
+def test_os_segment_word_matches_syllabify(word, script):
+    scheme = UnitScheme.ortho_syllable()
+    try:
+        want = [u.text for u in syllabify(word, script)]
+    except MixedScriptError:
+        for _ in range(2):
+            with pytest.raises(MixedScriptError):
+                segment_word(word, scheme, script=script)
+        return
+    first = segment_word(word, scheme, script=script)
+    assert first == want
+    first.append("mutated")  # the cached units must not see this
+    assert segment_word(word, scheme, script=script) == want  # a cache hit
+
+
+def test_os_mixed_script_error_is_not_cached():
+    for _ in range(3):
+        with pytest.raises(MixedScriptError):
+            segment_word("Facebookपर", UnitScheme.ortho_syllable())
 
 
 class TestMorphLexicon:
@@ -266,6 +314,15 @@ class TestSegmentCorpus:
         with pytest.raises(MarkerCollisionError, match="line 2"):
             list(segment_corpus(lines, UnitScheme.char_unigram()))
 
+    def test_error_keeps_type_and_gains_lineno(self):
+        lines = ["ok line", "bad_line here"]
+        with pytest.raises(MarkerCollisionError) as info:
+            list(segment_corpus(lines, UnitScheme.char_unigram()))
+        assert info.value.lineno == 2
+        assert str(info.value) == (
+            "line 2: word 'bad_line' contains the boundary marker '_'"
+        )
+
     def test_skip_errors_passes_line_through(self):
         lines = ["ok", "bad_line"]
         sink = io.StringIO()
@@ -296,3 +353,48 @@ class TestSegmentCorpus:
 
     def test_empty_corpus(self):
         assert list(segment_corpus([], UnitScheme.word())) == []
+
+
+def test_raise_at_line_reraises_the_same_exception():
+    exc = CorpusDecodeError("invalid UTF-8 at byte offset 4: invalid start byte", 4)
+    with pytest.raises(CorpusDecodeError) as info:
+        try:
+            raise exc
+        except CorpusDecodeError as caught:
+            raise_at_line(caught, 7)
+    assert info.value is exc
+    assert info.value.lineno == 7
+    assert info.value.byte_offset == 4
+    assert str(info.value) == "line 7: invalid UTF-8 at byte offset 4: invalid start byte"
+
+
+# Text as load_corpus delivers a line: NFC, no LF. The marker is left out
+# because a word holding it is an error, not a round-trip case.
+corpus_lines_st = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(" \t\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\n_"),
+    )
+).map(lambda s: unicodedata.normalize("NFC", s))
+
+
+@settings(max_examples=300)
+@given(
+    corpus_lines_st,
+    st.sampled_from(
+        [
+            UnitScheme.char_unigram(),
+            UnitScheme.char_ngram(3),
+            UnitScheme.word(),
+            UnitScheme.ortho_syllable(),
+        ]
+    ),
+)
+def test_round_trip_maps_whitespace_runs_to_one_space(line, scheme):
+    try:
+        ts = tokenize_sentence(line, scheme)
+    except MixedScriptError:
+        # a word mixing two supported scripts has no OS segmentation yet
+        assert scheme.kind == "os"
+        return
+    assert detokenize(ts) == " ".join(line.split())
