@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .errors import CorpusDecodeError, DegenerateCorpusError, SplitSizeError
+from .errors import (
+    CorpusDecodeError,
+    DegenerateCorpusError,
+    OrthosylError,
+    SplitSizeError,
+    raise_at_line,
+)
 from .scripts import ScriptId
 from .segment import MorphLexicon, UnitScheme, segment_word
 
@@ -118,12 +124,17 @@ def vocab_stats(
 ) -> VocabStats:
     """Segment every word of the corpus and count the resulting units.
 
-    Boundary markers are never counted (segment_word emits none).
+    Boundary markers are never counted (segment_word emits none). A word
+    that cannot be segmented raises its OrthosylError with the 1-based line
+    number attached, as in segment_corpus.
     """
     counts: Counter[str] = Counter()
-    for line in lines:
-        for word in line.split():
-            counts.update(segment_word(word, scheme, morphs, script))
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            for word in line.split():
+                counts.update(segment_word(word, scheme, morphs, script))
+        except OrthosylError as exc:
+            raise_at_line(exc, lineno)
     token_count = sum(counts.values())
     type_cp = sum(len(unit) for unit in counts)
     mean_len = (type_cp / len(counts)) if counts else 0.0

@@ -1,12 +1,46 @@
 """BLEU with fuzzy word matches, for systems that translate sub-word units.
 
-A hypothesis n-gram may softly match a reference n-gram: each aligned word
-pair contributes similarity 1 - edit_distance/max_length, and the n-gram
-pair scores the product of its word similarities provided every word
-similarity reaches the threshold delta. Reference n-grams are consumed at
-most once, assigned greedily in order of decreasing contribution, which
-keeps the score at or above plain BLEU for any delta <= 1 and exactly equal
-to it at delta = 1.
+Matching rule. Two words w, v have similarity 1 - edit_distance(w, v) /
+max(len w, len v), and 1.0 when equal. A hypothesis n-gram and a reference
+n-gram of the same sentence pair are compared word by word, position k
+against position k: the pair's contribution is the left-to-right product
+of its n word similarities, provided every one of them is >= delta, and
+the pair earns nothing otherwise. Per order n and per sentence pair, the
+candidate pairs are sorted by (-contribution, hyp index, ref index) and
+taken greedily, each hypothesis and each reference n-gram at most once;
+the contributions taken are the sentence's matched mass for order n.
+Precisions, brevity penalty and score then follow corpus BLEU, with
+fractional matched mass in place of clipped counts. An exact match is the
+best contribution a pair can have, so the score is never below BLEU for
+delta <= 1, and at delta = 1 only exact matches count and it equals BLEU.
+
+Computation. Each sentence pair gets one table of the word positions
+(i, j) whose similarity is >= delta; each distinct word pair is scored
+once per sentence, and nothing is cached across sentences. As
+edit_distance >= |len w - len v|, a pair with
+1 - |len w - len v| / max(len w, len v) < delta cannot reach delta and is
+not scored. The order-n contribution at (i, j) is the order-(n-1) one
+times the table entry at (i + n - 1, j + n - 1), so each order extends the
+previous one along diagonals of the table.
+
+Monotonicity. At order 1 the pairs that a higher delta removes are the
+last in greedy order, so precision_1 never rises with delta. Higher orders
+can rise: a removed pair need not be among the last, and without it the
+greedy assignment may take a better set. For hyp `cab b ab b bcb` and ref
+`abc ab a baca bb ac`, precision_2 is 0.125 at delta = 0.3 and 0.1458 at
+delta = 0.4.
+
+Relation to LeBLEU. This is a LeBLEU-style metric, not LeBLEU as published
+(Virpioja & Grönroos 2015, WMT15 metrics task), and its scores are not
+comparable with published LeBLEU figures. LeBLEU scores an n-gram pair by
+the letter edit distance between the two n-grams taken as whole strings,
+so one badly matched word can be outweighed by the others; here every
+word must reach delta on its own and the word similarities multiply.
+LeBLEU's threshold bounds the relative edit distance (pairs further apart
+than it get nothing), whereas delta here bounds the similarity from
+below. The published scorer's search for an n-gram assignment is not
+reproduced: here it is the exact greedy order above, over all n-gram
+pairs of one sentence pair and only between n-grams of the same order.
 """
 
 from __future__ import annotations
@@ -26,48 +60,41 @@ def word_similarity(w: str, v: str) -> float:
     return 1.0 - edit_distance(w, v) / longest
 
 
-def _ngram_list(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
-    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+def _positions(tokens: Sequence[str]) -> dict[str, list[int]]:
+    at: dict[str, list[int]] = {}
+    for i, token in enumerate(tokens):
+        at.setdefault(token, []).append(i)
+    return at
 
 
-def _fuzzy_matched_mass(
-    hyp_grams: list[tuple[str, ...]],
-    ref_grams: list[tuple[str, ...]],
-    delta: float,
-    sim_cache: dict[tuple[str, str], float],
-) -> float:
-    """Total contribution of a greedy best-first one-to-one assignment."""
+def _similar_pairs(
+    hyp: Sequence[str], ref: Sequence[str], delta: float
+) -> dict[tuple[int, int], float]:
+    """{(i, j): similarity} for the word positions whose similarity is >= delta."""
+    table: dict[tuple[int, int], float] = {}
+    ref_at = _positions(ref)
+    for w, w_at in _positions(hyp).items():
+        for v, v_at in ref_at.items():
+            if w != v and 1.0 - abs(len(w) - len(v)) / max(len(w), len(v)) < delta:
+                continue
+            s = word_similarity(w, v)
+            if s >= delta:
+                for i in w_at:
+                    for j in v_at:
+                        table[i, j] = s
+    return table
 
-    def sim(w: str, v: str) -> float:
-        key = (w, v)
-        cached = sim_cache.get(key)
-        if cached is None:
-            cached = word_similarity(w, v)
-            sim_cache[key] = cached
-        return cached
 
-    candidates: list[tuple[float, int, int]] = []
-    for hi, hgram in enumerate(hyp_grams):
-        for ri, rgram in enumerate(ref_grams):
-            contribution = 1.0
-            for w, v in zip(hgram, rgram):
-                s = sim(w, v)
-                if s < delta:
-                    contribution = 0.0
-                    break
-                contribution *= s
-            if contribution > 0.0:
-                candidates.append((contribution, hi, ri))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    hyp_used = [False] * len(hyp_grams)
-    ref_used = [False] * len(ref_grams)
+def _greedy_mass(contributions: dict[tuple[int, int], float]) -> float:
+    """Total contribution of the greedy best-first one-to-one assignment."""
+    hyp_used: set[int] = set()
+    ref_used: set[int] = set()
     mass = 0.0
-    for contribution, hi, ri in candidates:
-        if hyp_used[hi] or ref_used[ri]:
-            continue
-        hyp_used[hi] = True
-        ref_used[ri] = True
-        mass += contribution
+    for (i, j), c in sorted(contributions.items(), key=lambda kv: (-kv[1], kv[0])):
+        if i not in hyp_used and j not in ref_used:
+            hyp_used.add(i)
+            ref_used.add(j)
+            mass += c
     return mass
 
 
@@ -84,20 +111,21 @@ def lebleu_report(
     matched = [0.0] * max_n
     total = [0] * max_n
     hyp_len = ref_len = 0
-    sim_cache: dict[tuple[str, str], float] = {}
     for hyp_line, ref_line in zip(hyps, refs):
         hyp = _tokenize(hyp_line)
         ref = _tokenize(ref_line)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_grams = _ngram_list(hyp, n)
-            if not hyp_grams:
-                continue
-            total[n - 1] += len(hyp_grams)
-            matched[n - 1] += _fuzzy_matched_mass(
-                hyp_grams, _ngram_list(ref, n), delta, sim_cache
-            )
+        sim = level = _similar_pairs(hyp, ref, delta)
+        for n in range(1, min(max_n, len(hyp)) + 1):
+            if n > 1:
+                level = {
+                    (i, j): c * s
+                    for (i, j), c in level.items()
+                    if (s := sim.get((i + n - 1, j + n - 1))) is not None
+                }
+            total[n - 1] += len(hyp) - n + 1
+            matched[n - 1] += _greedy_mass(level)
     precisions = tuple(
         (matched[i] / total[i]) if total[i] else 0.0 for i in range(max_n)
     )

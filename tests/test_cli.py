@@ -217,6 +217,14 @@ class TestStatsSplit:
         assert status == 0
         assert out == "os\t6\t6\t1.5000\n"
 
+    def test_stats_error_names_its_line(self):
+        proc = invoke_process(["stats", "--unit", "os"], "ok\nFacebookपर\n")
+        assert_one_line_error(proc, "stats")
+        assert proc.stderr == (
+            "orthosyl stats: error: line 2: "
+            "word 'Facebookपर' mixes Latin and Devanagari letters\n"
+        )
+
     def test_split_writes_three_files(self, tmp_path):
         prefix = tmp_path / "corpus"
         body = "".join(f"line {i}\n" for i in range(10))

@@ -12,7 +12,12 @@ from orthosyl.corpus import (
     vocab_stats,
     write_corpus,
 )
-from orthosyl.errors import CorpusDecodeError, DegenerateCorpusError, SplitSizeError
+from orthosyl.errors import (
+    CorpusDecodeError,
+    DegenerateCorpusError,
+    MixedScriptError,
+    SplitSizeError,
+)
 from orthosyl.segment import MorphLexicon, UnitScheme
 
 
@@ -178,6 +183,14 @@ class TestVocabStats:
     def test_format_line(self):
         line = vocab_stats(["ab"], UnitScheme.char_unigram()).format_line()
         assert line == "char\t2\t2\t1.0000"
+
+    def test_error_names_its_line(self):
+        with pytest.raises(MixedScriptError) as info:
+            vocab_stats(["ok", "Facebookपर"], UnitScheme.ortho_syllable())
+        assert info.value.lineno == 2
+        assert str(info.value) == (
+            "line 2: word 'Facebookपर' mixes Latin and Devanagari letters"
+        )
 
 
 class TestUnitRatio:
