@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True, metavar="PATH")
     p.add_argument("--ref", required=True, metavar="PATH")
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--delta", type=float, default=0.6,
-                   help="fuzzy word-match threshold (lebleu only)")
+    p.add_argument("--delta", type=float,
+                   help="fuzzy word-match threshold (lebleu only, default 0.6)")
     p.add_argument("--report", metavar="PATH",
                    help="also write a key-value report file")
 
@@ -192,7 +192,8 @@ def _cmd_score(args, stdin, stdout) -> None:
         report = metrics.bleu(hyps, refs, max_n=args.max_n)
         label = "BLEU"
     else:
-        report = metrics.lebleu_report(hyps, refs, delta=args.delta, max_n=args.max_n)
+        delta = 0.6 if args.delta is None else args.delta
+        report = metrics.lebleu_report(hyps, refs, delta=delta, max_n=args.max_n)
         label = "Le-BLEU"
     print(f"{label} = {report.score:.2f}", file=stdout)
     if args.report:
@@ -207,7 +208,7 @@ def _cmd_score(args, stdin, stdout) -> None:
             f"precision_{i + 1} = {p:.6f}" for i, p in enumerate(report.precisions)
         ]
         if args.metric == "lebleu":
-            lines.append(f"delta = {args.delta}")
+            lines.append(f"delta = {delta}")
         corpus_io.write_corpus(lines, args.report)
 
 
@@ -262,6 +263,8 @@ def run(argv: list[str] | None = None, stdin=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "score" and args.metric != "lebleu" and args.delta is not None:
+        parser.error("--delta applies to --metric lebleu only")
     try:
         _COMMANDS[args.command](args, stdin, stdout)
     except OrthosylError as exc:

@@ -5,6 +5,11 @@ Modified n-gram precision with clipping, geometric mean over orders
 their references. A smoothed sentence-level variant (add-one on the
 precisions of orders >= 2) is provided for n-best rescoring, where the
 unsmoothed score is almost always zero.
+
+One counting path serves all three BLEU variants: `bleu` and
+`sentence_bleu_smoothed` take clipped counts from `_clipped_matches`, and
+`bleu` and Le-BLEU (`lebleu.lebleu_report`) pool per-line matches into a
+report through `_corpus_report`.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..errors import AlignmentError, EmptyInputError, ParameterError
 
@@ -66,8 +71,25 @@ def combine_precisions(
     return bp * math.exp(log_mean) * 100.0
 
 
-def bleu(hyps: Sequence[str], refs: Sequence[str], max_n: int = 4) -> BleuReport:
-    """Corpus BLEU of whitespace-tokenized hypothesis/reference lines."""
+def _clipped_matches(hyp: Sequence[str], ref: Sequence[str], n: int) -> int:
+    """Hypothesis n-grams matched in the reference, each clipped to its ref count."""
+    ref_counts = _ngrams(ref, n)
+    return sum(min(count, ref_counts[gram]) for gram, count in _ngrams(hyp, n).items())
+
+
+def _corpus_report(
+    hyps: Sequence[str],
+    refs: Sequence[str],
+    max_n: int,
+    matched_per_order: Callable[[list[str], list[str], int], Iterable[float]],
+) -> BleuReport:
+    """Pool per-line n-gram matches over the corpus into a BLEU report.
+
+    For each tokenized line pair, `matched_per_order(hyp, ref, top)` yields
+    the matched count (or fuzzy mass) of orders 1..top, where
+    top = min(max_n, len(hyp)); a line adds its len(hyp) - n + 1 n-grams to
+    the total of each of those orders.
+    """
     _validate(hyps, refs, max_n)
     matched = [0] * max_n
     total = [0] * max_n
@@ -77,21 +99,23 @@ def bleu(hyps: Sequence[str], refs: Sequence[str], max_n: int = 4) -> BleuReport
         ref = _tokenize(ref_line)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngrams(hyp, n)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngrams(ref, n)
-            total[n - 1] += sum(hyp_counts.values())
-            matched[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
+        top = min(max_n, len(hyp))
+        for n, m in enumerate(matched_per_order(hyp, ref, top), start=1):
+            total[n - 1] += len(hyp) - n + 1
+            matched[n - 1] += m
     precisions = tuple(
         (matched[i] / total[i]) if total[i] else 0.0 for i in range(max_n)
     )
     bp = brevity_penalty(hyp_len, ref_len)
     score = combine_precisions(precisions, bp)
     return BleuReport(precisions, bp, score, hyp_len, ref_len)
+
+
+def bleu(hyps: Sequence[str], refs: Sequence[str], max_n: int = 4) -> BleuReport:
+    """Corpus BLEU of whitespace-tokenized hypothesis/reference lines."""
+    return _corpus_report(hyps, refs, max_n, lambda hyp, ref, top: (
+        _clipped_matches(hyp, ref, n) for n in range(1, top + 1)
+    ))
 
 
 def sentence_bleu_smoothed(
@@ -102,12 +126,8 @@ def sentence_bleu_smoothed(
         raise ParameterError(f"max_n must be >= 1, got {max_n}")
     precisions: list[float] = []
     for n in range(1, max_n + 1):
-        hyp_counts = _ngrams(hyp_tokens, n)
-        ref_counts = _ngrams(ref_tokens, n)
-        total = sum(hyp_counts.values())
-        matched = sum(
-            min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-        )
+        total = max(len(hyp_tokens) - n + 1, 0)
+        matched = _clipped_matches(hyp_tokens, ref_tokens, n)
         if n == 1:
             precisions.append(matched / total if total else 0.0)
         else:

@@ -9,10 +9,11 @@ the pair earns nothing otherwise. Per order n and per sentence pair, the
 candidate pairs are sorted by (-contribution, hyp index, ref index) and
 taken greedily, each hypothesis and each reference n-gram at most once;
 the contributions taken are the sentence's matched mass for order n.
-Precisions, brevity penalty and score then follow corpus BLEU, with
-fractional matched mass in place of clipped counts. An exact match is the
-best contribution a pair can have, so the score is never below BLEU for
-delta <= 1, and at delta = 1 only exact matches count and it equals BLEU.
+Precisions, brevity penalty and score then follow corpus BLEU, pooled by
+the same loop (`bleu._corpus_report`), with fractional matched mass in
+place of clipped counts. An exact match is the best contribution a pair
+can have, so the score is never below BLEU for delta <= 1, and at
+delta = 1 only exact matches count and it equals BLEU.
 
 Computation. Each sentence pair gets one table of the word positions
 (i, j) whose similarity is >= delta; each distinct word pair is scored
@@ -48,7 +49,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import ParameterError
-from .bleu import BleuReport, _tokenize, _validate, brevity_penalty, combine_precisions
+from .bleu import BleuReport, _corpus_report
 from .lcs import edit_distance
 
 
@@ -107,31 +108,19 @@ def lebleu_report(
     """Fuzzy-match BLEU report; `lebleu` returns just its score."""
     if not (0.0 < delta <= 1.0):
         raise ParameterError(f"delta must be in (0, 1], got {delta}")
-    _validate(hyps, refs, max_n)
-    matched = [0.0] * max_n
-    total = [0] * max_n
-    hyp_len = ref_len = 0
-    for hyp_line, ref_line in zip(hyps, refs):
-        hyp = _tokenize(hyp_line)
-        ref = _tokenize(ref_line)
-        hyp_len += len(hyp)
-        ref_len += len(ref)
+
+    def matched_per_order(hyp, ref, top):
         sim = level = _similar_pairs(hyp, ref, delta)
-        for n in range(1, min(max_n, len(hyp)) + 1):
+        for n in range(1, top + 1):
             if n > 1:
                 level = {
                     (i, j): c * s
                     for (i, j), c in level.items()
                     if (s := sim.get((i + n - 1, j + n - 1))) is not None
                 }
-            total[n - 1] += len(hyp) - n + 1
-            matched[n - 1] += _greedy_mass(level)
-    precisions = tuple(
-        (matched[i] / total[i]) if total[i] else 0.0 for i in range(max_n)
-    )
-    bp = brevity_penalty(hyp_len, ref_len)
-    score = combine_precisions(precisions, bp)
-    return BleuReport(precisions, bp, score, hyp_len, ref_len)
+            yield _greedy_mass(level)
+
+    return _corpus_report(hyps, refs, max_n, matched_per_order)
 
 
 def lebleu(

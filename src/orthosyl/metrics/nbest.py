@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..errors import AlignmentError, MalformedStreamError
+from ..errors import AlignmentError, MalformedStreamError, raise_at_line
 from ..segment import DEFAULT_MARKER, detokenize
 from .bleu import sentence_bleu_smoothed
 
@@ -60,20 +60,18 @@ def parse_nbest(lines: Iterable[str]) -> NBestList:
             continue
         fields = line.split(_SEP)
         if len(fields) < 4:
-            raise MalformedStreamError(
-                f"line {lineno}: expected 4 ' ||| '-separated fields, "
-                f"got {len(fields)}"
-            )
+            raise_at_line(MalformedStreamError(
+                f"expected 4 ' ||| '-separated fields, got {len(fields)}"
+            ), lineno)
         try:
             sentence_id = int(fields[0].strip())
             model_score = float(fields[3].strip())
         except ValueError as exc:
-            raise MalformedStreamError(f"line {lineno}: {exc}") from None
+            raise_at_line(MalformedStreamError(str(exc)), lineno)
         if last_id is not None and sentence_id < last_id:
-            raise MalformedStreamError(
-                f"line {lineno}: sentence ids must be nondecreasing "
-                f"({sentence_id} after {last_id})"
-            )
+            raise_at_line(MalformedStreamError(
+                f"sentence ids must be nondecreasing ({sentence_id} after {last_id})"
+            ), lineno)
         last_id = sentence_id
         entries.append(
             NBestEntry(

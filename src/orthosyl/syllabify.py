@@ -148,8 +148,11 @@ def syllabify_alpha(
 
     A word-initial vowel run is its own unit, a word-final consonant run
     attaches to the preceding unit, and a vowel-less word is a single unit.
-    Casing is preserved; vowel membership is checked case-insensitively
-    against the script's vowel set (overridable via `vowels`).
+    Casing is preserved. Vowels are the letters that the script's table
+    classifies as vowels (its vowel set, matched case-insensitively), so a
+    code point outside the script's letter ranges is never a vowel. A
+    `vowels` override is matched against each code point's case fold
+    instead.
     """
     if not word:
         raise EmptyInputError("cannot syllabify an empty word")
@@ -159,20 +162,19 @@ def syllabify_alpha(
             f"{script.value} is not an alphabetic script; use syllabify_indic"
         )
     word = unicodedata.normalize("NFC", word)
-    vowel_set = table.vowel_set if vowels is None else vowels
-
-    def is_vowel(ch: str) -> bool:
-        folded = ch.casefold()
-        return bool(folded) and folded[0] in vowel_set
-
+    cls = [table.classify(ch) for ch in word]
+    if vowels is None:
+        vowel = [k is CharClass.INDEPENDENT_VOWEL for k in cls]
+    else:
+        vowel = [ch.casefold()[:1] in vowels for ch in word]
     units: list[OrthoSyllable] = []
     has_consonant = any(
-        table.classify(ch) is CharClass.CONSONANT and not is_vowel(ch) for ch in word
+        k is CharClass.CONSONANT and not v for k, v in zip(cls, vowel)
     )
     i, n = 0, len(word)
     while i < n:
         start = i
-        while i < n and not is_vowel(word[i]):
+        while i < n and not vowel[i]:
             i += 1
         if i == n:
             # trailing run without a vowel
@@ -183,11 +185,10 @@ def syllabify_alpha(
                 kind = OSKind.CONSONANT_CORE if has_consonant else OSKind.OTHER
                 units.append(OrthoSyllable(word, kind))
             break
-        while i < n and is_vowel(word[i]):
+        while i < n and vowel[i]:
             i += 1
-        text = word[start:i]
-        kind = OSKind.INDEPENDENT_VOWEL if is_vowel(text[0]) else OSKind.CONSONANT_CORE
-        units.append(OrthoSyllable(text, kind))
+        kind = OSKind.INDEPENDENT_VOWEL if vowel[start] else OSKind.CONSONANT_CORE
+        units.append(OrthoSyllable(word[start:i], kind))
     return units
 
 

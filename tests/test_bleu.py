@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthosyl.errors import AlignmentError, EmptyInputError, ParameterError
+import bleu_oracle
+from orthosyl.errors import AlignmentError, EmptyInputError, OrthosylError, ParameterError
 from orthosyl.metrics import bleu, sentence_bleu_smoothed
 
 
@@ -99,6 +100,46 @@ def test_permutation_never_raises_higher_order_precision(tokens, rnd):
     perm = bleu([" ".join(shuffled)], [ref])
     for n in range(1, 4):
         assert perm.precisions[n] <= base.precisions[n] + 1e-12
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except OrthosylError as exc:
+        return type(exc), str(exc)
+
+
+tokens = st.lists(st.sampled_from(["a", "b", "c", "ab"]), max_size=8)
+
+
+@st.composite
+def corpora(draw):
+    """Line pairs of 0-8 tokens; one draw in three drops or adds a reference."""
+    pairs = draw(st.lists(st.tuples(tokens, tokens), max_size=5))
+    hyps = [" ".join(h) for h, _ in pairs]
+    refs = [" ".join(r) for _, r in pairs]
+    skew = draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+    if skew < 0:
+        refs = refs[:-1]
+    elif skew > 0:
+        refs.append(" ".join(draw(tokens)))
+    return hyps, refs
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpora(), st.integers(0, 6))
+def test_report_equals_oracle(corpus, max_n):
+    hyps, refs = corpus
+    assert outcome(bleu, hyps, refs, max_n) == outcome(bleu_oracle.bleu, hyps, refs, max_n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tokens, tokens, st.integers(0, 6))
+def test_sentence_bleu_equals_oracle(hyp, ref, max_n):
+    assert outcome(sentence_bleu_smoothed, hyp, ref, max_n) == outcome(
+        bleu_oracle.sentence_bleu_smoothed, hyp, ref, max_n
+    )
 
 
 class TestSentenceSmoothed:

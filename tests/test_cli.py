@@ -165,6 +165,15 @@ class TestMetricsCommands:
         assert "precision_1 = " in text
         assert "delta = 0.6" in text
 
+    def test_score_bleu_rejects_delta(self, tmp_path):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("a b\n", encoding="utf-8")
+        proc = invoke_process(["score", "--metric", "bleu", "--delta", "0.3",
+                               "--hyp", str(hyp), "--ref", str(hyp)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--delta" in proc.stderr
+
     def test_lcsr_summary_and_per_line(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

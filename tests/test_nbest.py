@@ -43,6 +43,13 @@ def test_parse_rejects_decreasing_ids():
         ])
 
 
+def test_parse_error_carries_its_line_number():
+    with pytest.raises(MalformedStreamError) as info:
+        parse_nbest(["0 ||| a ||| f ||| 1", "0 ||| a ||| f"])
+    assert info.value.lineno == 2
+    assert str(info.value) == "line 2: expected 4 ' ||| '-separated fields, got 3"
+
+
 def test_rescore_appends_word_bleu():
     nbest = parse_nbest(NBEST_LINES)
     rescored = rescore_nbest(nbest, REFS)

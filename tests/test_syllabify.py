@@ -85,6 +85,17 @@ def test_custom_vowel_set():
     assert custom == ["sy", "lla", "ble"]
 
 
+@pytest.mark.parametrize("word,script,want", [
+    ("\u1e9abe", ScriptId.LATIN, ["\u1e9abe"]),
+    ("\u1c82ба", ScriptId.CYRILLIC, ["\u1c82ба"]),
+    ("\u1c87ба", ScriptId.CYRILLIC, ["\u1c87ба"]),
+])
+def test_vowels_come_from_the_table(word, script, want):
+    # U+1E9A, U+1C82 and U+1C87 case-fold to a vowel but lie outside the
+    # letter ranges, so, as for detect_script, they are not letters
+    assert texts(syllabify_alpha(word, script)) == want
+
+
 def test_other_scripts_round_trip():
     words = {
         ScriptId.BENGALI: "বাংলা",
