@@ -13,7 +13,7 @@ import sys
 
 from . import corpus as corpus_io
 from . import metrics
-from .errors import OrthosylError, raise_at_line
+from .errors import OrthosylError, ParameterError, raise_at_line
 from .scripts import SUPPORTED_SCRIPTS, ScriptId, classify
 from .segment import (
     DEFAULT_MARKER,
@@ -31,6 +31,35 @@ def _parse_script(value: str) -> ScriptId | None:
     if value.lower() == "auto":
         return None
     return ScriptId.parse(value)
+
+
+# Option types: an out-of-range value is a usage error (exit 2), reported
+# by argparse before any input is read.
+def _unit_scheme(text: str) -> UnitScheme:
+    try:
+        return UnitScheme.parse(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _max_n(text: str) -> int:
+    try:
+        max_n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if max_n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return max_n
+
+
+def _delta(text: str) -> float:
+    try:
+        delta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < delta <= 1:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return delta
 
 
 def _add_marker_flag(parser: argparse.ArgumentParser) -> None:
@@ -52,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segment", help="segment sentences into units")
-    p.add_argument("--unit", required=True, help="word|morph|char|char-ngram=N|os")
+    p.add_argument("--unit", required=True, type=_unit_scheme,
+                   help="word|morph|char|char-ngram=N|os")
     _add_marker_flag(p)
     p.add_argument("--morph-lexicon", metavar="PATH")
     p.add_argument("--script", default="auto", help="|".join(_SCRIPT_NAMES) + "|auto")
@@ -88,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("bleu", "lebleu"), required=True)
     p.add_argument("--hyp", required=True, metavar="PATH")
     p.add_argument("--ref", required=True, metavar="PATH")
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--delta", type=float,
+    p.add_argument("--max-n", type=_max_n, default=4)
+    p.add_argument("--delta", type=_delta,
                    help="fuzzy word-match threshold (lebleu only, default 0.6)")
     p.add_argument("--report", metavar="PATH",
                    help="also write a key-value report file")
@@ -100,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_marker_flag(p)
 
     p = sub.add_parser("stats", help="unit-vocabulary statistics of a corpus")
-    p.add_argument("--unit", required=True, help="word|morph|char|char-ngram=N|os")
+    p.add_argument("--unit", required=True, type=_unit_scheme,
+                   help="word|morph|char|char-ngram=N|os")
     p.add_argument("--morph-lexicon", metavar="PATH")
     p.add_argument("--script", default="auto", help="|".join(_SCRIPT_NAMES) + "|auto")
 
@@ -123,13 +154,12 @@ def _load_lexicon(path: str | None, scheme: UnitScheme | None = None) -> MorphLe
 
 
 def _cmd_segment(args, stdin, stdout) -> None:
-    scheme = UnitScheme.parse(args.unit)
     lines = corpus_io.load_corpus(stdin)
     for out in segment_corpus(
         lines,
-        scheme,
+        args.unit,
         marker=args.marker,
-        morphs=_load_lexicon(args.morph_lexicon, scheme),
+        morphs=_load_lexicon(args.morph_lexicon, args.unit),
         script=_parse_script(args.script),
         on_marker_collision=args.on_marker_collision,
         skip_errors=args.skip_errors,
@@ -220,11 +250,10 @@ def _cmd_nbest_rescore(args, stdin, stdout) -> None:
 
 
 def _cmd_stats(args, stdin, stdout) -> None:
-    scheme = UnitScheme.parse(args.unit)
     stats = corpus_io.vocab_stats(
         corpus_io.load_corpus(stdin),
-        scheme,
-        morphs=_load_lexicon(args.morph_lexicon, scheme),
+        args.unit,
+        morphs=_load_lexicon(args.morph_lexicon, args.unit),
         script=_parse_script(args.script),
     )
     print(stats.format_line(), file=stdout)

@@ -37,13 +37,11 @@ class ScriptId(Enum):
     CYRILLIC = "Cyrillic"
     UNSUPPORTED = "Unsupported"
 
-    @property
-    def is_abugida(self) -> bool:
-        return self in _INDIC_BLOCKS
-
-    @property
-    def is_alphabetic(self) -> bool:
-        return self in (ScriptId.LATIN, ScriptId.CYRILLIC)
+    # Script family, set on each member below as a plain attribute: a
+    # property testing `self in ...` would hash the member through Enum's
+    # Python-level __hash__ on every call.
+    is_abugida: bool
+    is_alphabetic: bool
 
     @classmethod
     def parse(cls, name: str) -> "ScriptId":
@@ -83,6 +81,11 @@ _INDIC_BLOCKS = {
 }
 _BLOCK_SIZE = 0x80
 
+for _script in ScriptId:
+    _script.is_abugida = _script in _INDIC_BLOCKS
+    _script.is_alphabetic = _script in (ScriptId.LATIN, ScriptId.CYRILLIC)
+del _script
+
 # Alphabetic letter ranges (inclusive). Latin-1 multiplication and division
 # signs sit inside the letter range and are excluded below.
 _LATIN_RANGES = ((0x41, 0x5A), (0x61, 0x7A), (0xC0, 0xD6), (0xD8, 0xF6), (0xF8, 0x24F))
@@ -99,7 +102,8 @@ _LATIN_VOWELS = frozenset(
 )
 _CYRILLIC_VOWELS = frozenset("аеёиоуыэюяіїєѣѵѫ")
 
-# Zero-width joiner / non-joiner attach to the current unit in any script.
+# Zero-width joiner / non-joiner attach to the current unit in any script:
+# every table classifies them as other signs.
 _UNIVERSAL_SIGNS = frozenset({"‌", "‍"})
 
 # classify's default, bound once: an Enum member lookup costs more than the
@@ -221,10 +225,19 @@ class ScriptTable:
     plosive_offsets: frozenset = field(repr=False)
     vowel_set: frozenset = field(repr=False)
 
+    def __post_init__(self):
+        # the joiners lie outside every block but are signs in all of them
+        for ch in _UNIVERSAL_SIGNS:
+            self.class_by_offset[ord(ch) - self.block_start] = CharClass.OTHER_SIGN
+
     def classify(self, ch: str) -> CharClass:
-        if ch in _UNIVERSAL_SIGNS:
-            return CharClass.OTHER_SIGN
         return self.class_by_offset.get(ord(ch) - self.block_start, _NON_SCRIPT)
+
+    def classify_word(self, word: str) -> list[CharClass]:
+        """The class of each code point of `word`, in order."""
+        get = self.class_by_offset.get
+        start = self.block_start
+        return [get(ord(ch) - start, _NON_SCRIPT) for ch in word]
 
     def is_plosive(self, ch: str) -> bool:
         return (ord(ch) - self.block_start) in self.plosive_offsets

@@ -43,7 +43,21 @@ class OrthoSyllable:
         return self.text
 
 
-_NASAL_SIGNS = (CharClass.ANUSVARA, CharClass.CHANDRABINDU)
+# Classes and kinds bound to module globals: the scanners compare them per
+# code point, and an Enum member lookup costs several times a global one.
+_CONSONANT = CharClass.CONSONANT
+_INDEPENDENT_VOWEL = CharClass.INDEPENDENT_VOWEL
+_DEPENDENT_VOWEL = CharClass.DEPENDENT_VOWEL
+_HALANTA = CharClass.HALANTA
+_NUKTA = CharClass.NUKTA
+_ANUSVARA = CharClass.ANUSVARA
+_CHANDRABINDU = CharClass.CHANDRABINDU
+
+_OS_CONSONANT_CORE = OSKind.CONSONANT_CORE
+_OS_INDEPENDENT_VOWEL = OSKind.INDEPENDENT_VOWEL
+_OS_NASAL_CONSONANT = OSKind.NASAL_CONSONANT
+_OS_OTHER = OSKind.OTHER
+_UNSUPPORTED = ScriptId.UNSUPPORTED
 
 
 def syllabify_indic(word: str, script: ScriptId) -> list[OrthoSyllable]:
@@ -55,6 +69,10 @@ def syllabify_indic(word: str, script: ScriptId) -> list[OrthoSyllable]:
     vowel is a unit of its own. An anusvara/chandrabindu nasalizing the
     vowel joins the unit on its left, while one standing for a nasal
     consonant (next code point is a plosive) starts the next unit.
+
+    A unit's kind is read off its own code points: NasalConsonant if it
+    starts with anusvara/chandrabindu, else ConsonantCore if it holds a
+    consonant, else IndependentVowel if it starts with one, else Other.
     """
     if not word:
         raise EmptyInputError("cannot syllabify an empty word")
@@ -64,78 +82,76 @@ def syllabify_indic(word: str, script: ScriptId) -> list[OrthoSyllable]:
             f"{script.value} is not an abugida script; use syllabify_alpha"
         )
     word = unicodedata.normalize("NFC", word)
-    cls = [table.classify(ch) for ch in word]
+    cls = table.classify_word(word)
+    cls.append(None)  # past the end no class matches, so no bounds checks
     n = len(word)
-    units: list[OrthoSyllable] = []
+    ends: list[int] = []  # where each unit ends; the next one starts there
     start = 0  # the open unit is word[start:i]
-
-    def nasalizes(i: int) -> bool:
-        # c1 at i is anusvara/chandrabindu; nasalizer unless a plosive follows
-        return not (i + 1 < n and table.is_plosive(word[i + 1]))
-
-    def close(i: int) -> None:
-        nonlocal start
-        if start == i:
-            return
-        first = cls[start]
-        if first in _NASAL_SIGNS:
-            kind = OSKind.NASAL_CONSONANT
-        elif CharClass.CONSONANT in cls[start:i]:
-            kind = OSKind.CONSONANT_CORE
-        elif first is CharClass.INDEPENDENT_VOWEL:
-            kind = OSKind.INDEPENDENT_VOWEL
-        else:
-            kind = OSKind.OTHER
-        units.append(OrthoSyllable(word[start:i], kind))
-        start = i
-
-    def absorb_nasalizer(i: int) -> int:
-        if i < n and cls[i] in _NASAL_SIGNS and nasalizes(i):
-            i += 1
-        return i
-
+    vowel_end = -1  # where the last unit closed on a vowel or implicit schwa
     i = 0
     while i < n:
         k = cls[i]
         i += 1
-        if k is CharClass.CONSONANT:
+        if k is _CONSONANT:
             # consume the whole cluster C(halanta C)*, nukta fused
-            while True:
-                while i < n and cls[i] is CharClass.NUKTA:
+            while cls[i] is _NUKTA:
+                i += 1
+            while cls[i] is _HALANTA:
+                i += 1
+                while i < n and word[i] in _UNIVERSAL_SIGNS:
                     i += 1
-                if i < n and cls[i] is CharClass.HALANTA:
+                if cls[i] is not _CONSONANT:
+                    break  # word-final (or dangling) halanta attaches
+                i += 1  # cluster grows through the halanta
+                while cls[i] is _NUKTA:
                     i += 1
-                    while i < n and word[i] in _UNIVERSAL_SIGNS:
-                        i += 1
-                    if i < n and cls[i] is CharClass.CONSONANT:
-                        i += 1
-                        continue  # cluster grows through the halanta
-                    # word-final (or dangling) halanta attaches
-                else:
-                    # a dependent vowel closes the cluster, and so does the
-                    # implicit schwa before anything else; either takes a
-                    # nasalizer along
-                    if i < n and cls[i] is CharClass.DEPENDENT_VOWEL:
-                        i += 1
-                    i = absorb_nasalizer(i)
-                break
-            close(i)
-        elif k is CharClass.INDEPENDENT_VOWEL or k is CharClass.DEPENDENT_VOWEL:
+            else:
+                # a dependent vowel closes the cluster, and so does the
+                # implicit schwa before anything else
+                if cls[i] is _DEPENDENT_VOWEL:
+                    i += 1
+                vowel_end = i
+            ends.append(i)
+            start = i
+        elif k is _INDEPENDENT_VOWEL or k is _DEPENDENT_VOWEL:
             # a dependent vowel here is a stray matra (malformed input):
             # like an independent vowel it is a unit of its own
-            i = absorb_nasalizer(i)
-            close(i)
-        elif k in _NASAL_SIGNS or k is CharClass.HALANTA or k is CharClass.NUKTA:
-            # a nasal consonant opens the next unit and fuses with the
-            # following cluster; a stray joiner (malformed input) carries
-            # into whatever follows
+            ends.append(i)
+            start = vowel_end = i
+        elif k is _ANUSVARA or k is _CHANDRABINDU:
+            # right after a vowel, and with no plosive next, it nasalizes
+            # that vowel and joins its unit; otherwise it is a nasal
+            # consonant, which opens the next unit and fuses with the
+            # following cluster
+            if vowel_end == i - 1 and not (
+                i < n and ord(word[i]) - table.block_start in table.plosive_offsets
+            ):
+                ends[-1] = start = i
+        elif k is _HALANTA or k is _NUKTA:
+            # a stray joiner (malformed input) carries into whatever follows
             pass
-        elif start == i - 1 and units:
+        elif start == i - 1 and ends:
             # visarga, other signs, and non-script marks attach leftwards
-            last = units[-1]
-            units[-1] = OrthoSyllable(last.text + word[i - 1], last.kind)
-            start = i
-    close(n)
+            ends[-1] = start = i
+    if start < n:
+        ends.append(n)
+
+    units: list[OrthoSyllable] = []
+    start = 0
+    for end in ends:
+        first = cls[start]
+        if first is _CONSONANT:
+            kind = _OS_CONSONANT_CORE
+        elif first is _ANUSVARA or first is _CHANDRABINDU:
+            kind = _OS_NASAL_CONSONANT
+        elif _CONSONANT in cls[start:end]:
+            kind = _OS_CONSONANT_CORE
+        elif first is _INDEPENDENT_VOWEL:
+            kind = _OS_INDEPENDENT_VOWEL
+        else:
+            kind = _OS_OTHER
+        units.append(OrthoSyllable(word[start:end], kind))
+        start = end
     return units
 
 
@@ -162,33 +178,28 @@ def syllabify_alpha(
             f"{script.value} is not an alphabetic script; use syllabify_indic"
         )
     word = unicodedata.normalize("NFC", word)
-    cls = [table.classify(ch) for ch in word]
+    cls = table.classify_word(word)
     if vowels is None:
-        vowel = [k is CharClass.INDEPENDENT_VOWEL for k in cls]
+        vowel = [k is _INDEPENDENT_VOWEL for k in cls]
     else:
         vowel = [ch.casefold()[:1] in vowels for ch in word]
+    if True not in vowel:
+        kind = _OS_CONSONANT_CORE if _CONSONANT in cls else _OS_OTHER
+        return [OrthoSyllable(word, kind)]
+    # a unit ends wherever a vowel run gives way to a consonant run, except
+    # before the word-final consonant run, which attaches leftwards
+    n = len(word)
+    ends = [i for i in range(1, n) if vowel[i - 1] and not vowel[i]]
+    if not vowel[-1]:
+        ends.pop()
+    ends.append(n)
+
     units: list[OrthoSyllable] = []
-    has_consonant = any(
-        k is CharClass.CONSONANT and not v for k, v in zip(cls, vowel)
-    )
-    i, n = 0, len(word)
-    while i < n:
-        start = i
-        while i < n and not vowel[i]:
-            i += 1
-        if i == n:
-            # trailing run without a vowel
-            if units:
-                last = units[-1]
-                units[-1] = OrthoSyllable(last.text + word[start:], last.kind)
-            else:
-                kind = OSKind.CONSONANT_CORE if has_consonant else OSKind.OTHER
-                units.append(OrthoSyllable(word, kind))
-            break
-        while i < n and vowel[i]:
-            i += 1
-        kind = OSKind.INDEPENDENT_VOWEL if vowel[start] else OSKind.CONSONANT_CORE
-        units.append(OrthoSyllable(word[start:i], kind))
+    start = 0
+    for end in ends:
+        kind = _OS_INDEPENDENT_VOWEL if vowel[start] else _OS_CONSONANT_CORE
+        units.append(OrthoSyllable(word[start:end], kind))
+        start = end
     return units
 
 
@@ -206,14 +217,14 @@ def syllabify(word: str, script: ScriptId | None = None) -> list[OrthoSyllable]:
     word = unicodedata.normalize("NFC", word)
     if script is None:
         detected = detect_script(word)
-        if detected is ScriptId.UNSUPPORTED:
-            return [OrthoSyllable(word, OSKind.OTHER)]
+        if detected is _UNSUPPORTED:
+            return [OrthoSyllable(word, _OS_OTHER)]
         script = detected
     else:
         get_table(script)  # validate support
         detected = _detect_or_none(word)
         if detected is not script:
-            return [OrthoSyllable(word, OSKind.OTHER)]
+            return [OrthoSyllable(word, _OS_OTHER)]
     if script.is_abugida:
         return syllabify_indic(word, script)
     return syllabify_alpha(word, script)
@@ -225,4 +236,4 @@ def _detect_or_none(word: str) -> ScriptId | None:
         detected = detect_script(word)
     except MixedScriptError:
         return None
-    return None if detected is ScriptId.UNSUPPORTED else detected
+    return None if detected is _UNSUPPORTED else detected

@@ -341,3 +341,21 @@ class TestContract:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "line 1" in proc.stderr
+
+    @pytest.mark.parametrize("argv,option", [
+        (["score", "--metric", "bleu", "--max-n", "0"], "--max-n"),
+        (["score", "--metric", "lebleu", "--delta", "nan"], "--delta"),
+        (["score", "--metric", "lebleu", "--delta", "1.5"], "--delta"),
+        (["score", "--metric", "lebleu", "--delta", "0"], "--delta"),
+        (["segment", "--unit", "char-ngram=1"], "--unit"),
+        (["stats", "--unit", "bogus"], "--unit"),
+    ])
+    def test_out_of_range_option_exit_2(self, argv, option, capsys):
+        # a usage error, raised before any input is read: the named files
+        # do not exist, and reading them would exit 1 instead
+        if argv[0] == "score":
+            argv = argv + ["--hyp", "no-such-file", "--ref", "no-such-file"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv, stdin=io.BytesIO(b"ab\n"), stdout=io.StringIO())
+        assert exc.value.code == 2
+        assert f"argument {option}: " in capsys.readouterr().err

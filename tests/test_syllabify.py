@@ -5,7 +5,13 @@ import unicodedata
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthosyl.errors import EmptyInputError, MixedScriptError, UnsupportedScriptError
+import syllabify_oracle
+from orthosyl.errors import (
+    EmptyInputError,
+    MixedScriptError,
+    OrthosylError,
+    UnsupportedScriptError,
+)
 from orthosyl.scripts import SUPPORTED_SCRIPTS, TABLES, CharClass, ScriptId, classify
 from orthosyl.syllabify import OSKind, syllabify, syllabify_alpha, syllabify_indic
 
@@ -302,3 +308,70 @@ def test_kind_follows_unit_classes(script_word):
     assert "".join(texts(units)) == unicodedata.normalize("NFC", word)
     for unit in units:
         assert unit.kind is _kind_from_classes(unit.text, script), (word, unit)
+
+
+# --- equality with the reference scanners ---------------------------------
+
+# Offsets of the shared Indic layout that the scanner's rules turn on:
+# chandrabindu, anusvara, visarga, an independent vowel, plosive and
+# non-plosive consonants, nukta, a dependent vowel and halanta.
+_RULE_OFFSETS = (0x01, 0x02, 0x03, 0x05, 0x15, 0x17, 0x24, 0x2F, 0x38, 0x3C, 0x3E, 0x4D)
+
+
+def _block(script):
+    table = TABLES[script]
+    return st.integers(table.block_start, table.block_end).map(chr)
+
+
+@st.composite
+def any_script_words(draw):
+    """A script (or Unsupported) and a word, possibly empty, built mostly from
+    that script's block (unassigned code points included), with ZWJ / ZWNJ,
+    other blocks' code points, astral and arbitrary code points mixed in."""
+    script = draw(st.sampled_from(SUPPORTED_SCRIPTS + (ScriptId.UNSUPPORTED,)))
+    home = script if script in TABLES else ScriptId.DEVANAGARI
+    start = TABLES[home].block_start
+    rule = st.sampled_from(_RULE_OFFSETS).map(lambda off: chr(start + off))
+    piece = st.one_of(
+        rule,
+        # two code points around a chandrabindu, anusvara or halanta
+        st.tuples(rule, st.sampled_from((0x01, 0x02, 0x4D)), rule).map(
+            lambda t: t[0] + chr(start + t[1]) + t[2]
+        ),
+        _block(home),
+        st.sampled_from(["\u200c", "\u200d"]),
+        st.sampled_from(SUPPORTED_SCRIPTS).flatmap(_block),
+        st.characters(min_codepoint=0x10000, blacklist_categories=("Cs",)),
+        st.characters(blacklist_categories=("Cs",)),
+    )
+    return script, "".join(draw(st.lists(piece, max_size=10)))
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's (text, kind) units, or the type and message of its error."""
+    try:
+        return [(u.text, u.kind) for u in fn(*args, **kwargs)]
+    except OrthosylError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(any_script_words())
+def test_indic_equals_oracle(script_word):
+    script, word = script_word
+    assert outcome(syllabify_indic, word, script) == outcome(
+        syllabify_oracle.syllabify_indic, word, script
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    any_script_words(),
+    st.none() | st.frozensets(st.sampled_from("aeiouyäöüаеиоуыэюяїê"), max_size=8),
+)
+def test_alpha_equals_oracle(script_word, vowels):
+    script, word = script_word
+    kwargs = {} if vowels is None else {"vowels": vowels}
+    assert outcome(syllabify_alpha, word, script, **kwargs) == outcome(
+        syllabify_oracle.syllabify_alpha, word, script, **kwargs
+    )

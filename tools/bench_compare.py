@@ -1,0 +1,148 @@
+"""Alternating parent/change pairs of the benchmark, collated into one BENCH file.
+
+Usage (from the repository root):
+
+    python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR --label NAME \
+        --workloads hindi multiscript --seeds 101-110 [--seconds 55] \
+        [--parent-rev SHA] [--change-rev SHA]
+
+PARENT_DIR and CHANGE_DIR are checkouts of the two versions. For every
+workload and seed it runs, in each checkout and one after the other,
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+alternating which of the two goes first, and (re)writes BENCH_NAME.json in
+the current directory after every pair. Per end-to-end metric of
+BENCHMARK.json the file holds both sides' raw and scaled medians,
+quartiles and IQR / median, the change / parent ratio of the scaled
+medians, and how many pairs the change won; it also keeps every run's
+figures, the seeds and the two revisions (a checkout's `git rev-parse
+HEAD` unless given).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def seed_list(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def revision(checkout: Path, given: str | None) -> str | None:
+    if given:
+        return given
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run: the result line's metrics plus the report's raw figures."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        return {"exit": proc.returncode, "stderr": proc.stderr[-2000:]}
+    report, result = json.loads(lines[-2]), json.loads(lines[-1])
+    return {
+        "exit": 0,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "scaled": {k: v["value"] for k, v in result["metrics"].items()},
+        "raw": {k: v["raw"] for k, v in report["figures"].items()},
+    }
+
+
+def summary(values: list[float]) -> dict | None:
+    if not values:
+        return None
+    med = statistics.median(values)
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                 if len(values) > 1 else (med, med, med))
+    return {"median": med, "q1": q1, "q3": q3,
+            "iqr_over_median": (q3 - q1) / med if med else None}
+
+
+def collate(pairs: list[dict], metrics: list[dict]) -> dict:
+    ok = [p for p in pairs if all(p[s]["exit"] == 0 for s in SIDES)]
+    out = {}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        entry = {"unit": metric["unit"], "better": metric["better"]}
+        for side in SIDES:
+            entry[side] = {
+                kind: summary([p[side][kind][name] for p in ok if name in p[side][kind]])
+                for kind in ("scaled", "raw")
+            }
+        parent, change = entry["parent"]["scaled"], entry["change"]["scaled"]
+        entry["ratio_scaled_median"] = (
+            change["median"] / parent["median"] if parent and change and parent["median"] else None
+        )
+        entry["change_wins"] = sum(
+            (p["change"]["scaled"][name] > p["parent"]["scaled"][name]) == higher
+            and p["change"]["scaled"][name] != p["parent"]["scaled"][name]
+            for p in ok
+        )
+        entry["pairs"] = len(ok)
+        out[name] = entry
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", type=seed_list, required=True, help="e.g. 101-110 or 1,5,9")
+    parser.add_argument("--seconds", type=float, default=55)
+    parser.add_argument("--parent-rev")
+    parser.add_argument("--change-rev")
+    args = parser.parse_args()
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    out_path = Path(f"BENCH_{args.label}.json")
+    bench = {
+        "label": args.label,
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "revisions": {"parent": revision(args.parent, args.parent_rev),
+                      "change": revision(args.change, args.change_rev)},
+        "seeds": args.seeds,
+        "workloads": {},
+    }
+    dirs = {"parent": args.parent, "change": args.change}
+    for workload in args.workloads:
+        pairs: list[dict] = []
+        for idx, seed in enumerate(args.seeds):
+            order = SIDES if idx % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(dirs[side], workload, seed, args.seconds)
+            pairs.append(pair)
+            bench["workloads"][workload] = {"metrics": collate(pairs, metrics), "pairs": pairs}
+            out_path.write_text(json.dumps(bench, indent=1) + "\n")
+            seg = {s: pair[s].get("scaled", {}).get("segment_mchar_s") for s in SIDES}
+            print(f"{workload} seed {seed}: segment parent {seg['parent']} change {seg['change']}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
