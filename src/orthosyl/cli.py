@@ -13,8 +13,8 @@ import sys
 
 from . import corpus as corpus_io
 from . import metrics
-from .errors import OrthosylError, ParameterError, raise_at_line
-from .scripts import SUPPORTED_SCRIPTS, ScriptId, classify
+from .errors import OrthosylError, ParameterError, UnsupportedScriptError, raise_at_line
+from .scripts import SUPPORTED_SCRIPTS, ScriptId, classify, get_table
 from .segment import (
     DEFAULT_MARKER,
     MorphLexicon,
@@ -27,14 +27,32 @@ from .segment import (
 _SCRIPT_NAMES = sorted(s.value for s in SUPPORTED_SCRIPTS)
 
 
-def _parse_script(value: str) -> ScriptId | None:
-    if value.lower() == "auto":
-        return None
-    return ScriptId.parse(value)
-
-
 # Option types: an out-of-range value is a usage error (exit 2), reported
 # by argparse before any input is read.
+def _script(text: str) -> ScriptId:
+    try:
+        script = ScriptId.parse(text)
+        get_table(script)  # a script name, but is it supported?
+    except UnsupportedScriptError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return script
+
+
+def _script_or_auto(text: str) -> ScriptId | None:
+    return None if text.lower() == "auto" else _script(text)
+
+
+def _sizes(text: str) -> tuple[int, int, int]:
+    try:
+        sizes = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != 3 or min(sizes) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expects three nonnegative integers TRAIN,TUNE,TEST, got {text!r}")
+    return sizes
+
+
 def _unit_scheme(text: str) -> UnitScheme:
     try:
         return UnitScheme.parse(text)
@@ -85,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word|morph|char|char-ngram=N|os")
     _add_marker_flag(p)
     p.add_argument("--morph-lexicon", metavar="PATH")
-    p.add_argument("--script", default="auto", help="|".join(_SCRIPT_NAMES) + "|auto")
+    p.add_argument("--script", default="auto", type=_script_or_auto,
+                   help="|".join(_SCRIPT_NAMES) + "|auto")
     p.add_argument(
         "--on-marker-collision",
         choices=("error", "replace"),
@@ -98,10 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_marker_flag(p)
 
     p = sub.add_parser("syllabify", help="orthographic syllables, one word per line")
-    p.add_argument("--script", default="auto", help="|".join(_SCRIPT_NAMES) + "|auto")
+    p.add_argument("--script", default="auto", type=_script_or_auto,
+                   help="|".join(_SCRIPT_NAMES) + "|auto")
 
     p = sub.add_parser("classify", help="dump per-code-point classifications")
-    p.add_argument("--script", required=True, help="|".join(_SCRIPT_NAMES))
+    p.add_argument("--script", required=True, type=_script, help="|".join(_SCRIPT_NAMES))
 
     p = sub.add_parser("lcsr", help="longest-common-subsequence ratio of two files")
     p.add_argument("--a", required=True, metavar="PATH")
@@ -133,10 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", required=True, type=_unit_scheme,
                    help="word|morph|char|char-ngram=N|os")
     p.add_argument("--morph-lexicon", metavar="PATH")
-    p.add_argument("--script", default="auto", help="|".join(_SCRIPT_NAMES) + "|auto")
+    p.add_argument("--script", default="auto", type=_script_or_auto,
+                   help="|".join(_SCRIPT_NAMES) + "|auto")
 
     p = sub.add_parser("split", help="split a corpus into train/tune/test")
-    p.add_argument("--sizes", required=True, metavar="TRAIN,TUNE,TEST")
+    p.add_argument("--sizes", required=True, type=_sizes, metavar="TRAIN,TUNE,TEST")
     p.add_argument("--seed", type=int)
     p.add_argument("--out-prefix", required=True, metavar="PATH")
 
@@ -160,7 +181,7 @@ def _cmd_segment(args, stdin, stdout) -> None:
         args.unit,
         marker=args.marker,
         morphs=_load_lexicon(args.morph_lexicon, args.unit),
-        script=_parse_script(args.script),
+        script=args.script,
         on_marker_collision=args.on_marker_collision,
         skip_errors=args.skip_errors,
         error_sink=sys.stderr,
@@ -178,17 +199,16 @@ def _cmd_desegment(args, stdin, stdout) -> None:
 
 def _cmd_syllabify(args, stdin, stdout) -> None:
     scheme = UnitScheme.ortho_syllable()
-    script = _parse_script(args.script)
     for lineno, line in enumerate(corpus_io.load_corpus(stdin), start=1):
         try:
-            units = [segment_word(word, scheme, script=script) for word in line.split()]
+            units = [segment_word(word, scheme, script=args.script) for word in line.split()]
         except OrthosylError as exc:
             raise_at_line(exc, lineno)
         print(" ".join(" ".join(word_units) for word_units in units), file=stdout)
 
 
 def _cmd_classify(args, stdin, stdout) -> None:
-    script = ScriptId.parse(args.script)
+    script = args.script
     for line in corpus_io.load_corpus(stdin):
         for ch in line:
             print(f"{ch}\t{script.value}\t{classify(ch, script).value}", file=stdout)
@@ -254,20 +274,14 @@ def _cmd_stats(args, stdin, stdout) -> None:
         corpus_io.load_corpus(stdin),
         args.unit,
         morphs=_load_lexicon(args.morph_lexicon, args.unit),
-        script=_parse_script(args.script),
+        script=args.script,
     )
     print(stats.format_line(), file=stdout)
 
 
 def _cmd_split(args, stdin, stdout) -> None:
-    try:
-        sizes = tuple(int(x) for x in args.sizes.split(","))
-    except ValueError:
-        raise OrthosylError(f"--sizes expects TRAIN,TUNE,TEST integers, got {args.sizes!r}")
-    if len(sizes) != 3:
-        raise OrthosylError(f"--sizes expects exactly three sizes, got {args.sizes!r}")
     lines = corpus_io.load_corpus(stdin)
-    pieces = corpus_io.split_corpus(lines, sizes, seed=args.seed)
+    pieces = corpus_io.split_corpus(lines, args.sizes, seed=args.seed)
     for name, piece in zip(("train", "tune", "test"), pieces):
         corpus_io.write_corpus(piece, f"{args.out_prefix}.{name}")
 

@@ -37,11 +37,15 @@ class ScriptId(Enum):
     CYRILLIC = "Cyrillic"
     UNSUPPORTED = "Unsupported"
 
-    # Script family, set on each member below as a plain attribute: a
-    # property testing `self in ...` would hash the member through Enum's
-    # Python-level __hash__ on every call.
+    # Script family, set on each member below as a plain attribute, which
+    # costs less to read than a property testing `self in ...`.
     is_abugida: bool
     is_alphabetic: bool
+
+    # Members are singletons, so identity is a valid hash, and it spares
+    # every dict or cache keyed by a script a call to Enum's Python-level
+    # __hash__.
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, name: str) -> "ScriptId":
@@ -232,12 +236,6 @@ class ScriptTable:
 
     def classify(self, ch: str) -> CharClass:
         return self.class_by_offset.get(ord(ch) - self.block_start, _NON_SCRIPT)
-
-    def classify_word(self, word: str) -> list[CharClass]:
-        """The class of each code point of `word`, in order."""
-        get = self.class_by_offset.get
-        start = self.block_start
-        return [get(ord(ch) - start, _NON_SCRIPT) for ch in word]
 
     def is_plosive(self, ch: str) -> bool:
         return (ord(ch) - self.block_start) in self.plosive_offsets

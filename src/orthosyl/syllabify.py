@@ -1,9 +1,19 @@
-"""Orthographic-syllable segmentation of single words.
+r"""Orthographic-syllable segmentation of single words.
 
 An orthographic syllable is a consonant-vowel chunk of written text: a run
-of consonants plus the vowel that follows it. For abugida scripts the
-segmenter is a left-to-right state machine over classified code points;
-for alphabetic scripts it scans maximal C*V+ runs.
+of consonants plus the vowel that follows it. The definition is a grammar
+over class letters: each code point of the (NFC) word maps to one letter
+through its script's table (C consonant, P plosive, N nukta, H halanta,
+U ZWJ/ZWNJ, M dependent vowel, V independent vowel, A anusvara or
+chandrabindu, x any other code point the table knows), and one regular
+expression per script family splits that string into units:
+
+    abugida     [^CPVM]*(?:[CP]N*(?:HU*[CP]N*)*(?:HU*|M?(?:A(?!P))?)
+                |[VM](?:A(?!P))?)[^CPNHMVA]*|[^CPVM]+
+    alphabetic  [^V]*V+(?:[^V]+\Z)?|[^V]+
+
+The units are the slices of the word that the matches cover, and a unit's
+kind is read off its match's class letters.
 
 Words are NFC-normalized before segmentation and the concatenation of the
 output units always reproduces the (normalized) word exactly. Every call
@@ -13,14 +23,17 @@ result (segment.segment_word does, for the OS unit scheme).
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyInputError, MixedScriptError, UnsupportedScriptError
 from .scripts import (
+    TABLES,
     CharClass,
     ScriptId,
+    ScriptTable,
     _UNIVERSAL_SIGNS,
     detect_script,
     get_table,
@@ -43,32 +56,84 @@ class OrthoSyllable:
         return self.text
 
 
-# Classes and kinds bound to module globals: the scanners compare them per
-# code point, and an Enum member lookup costs several times a global one.
-_CONSONANT = CharClass.CONSONANT
-_INDEPENDENT_VOWEL = CharClass.INDEPENDENT_VOWEL
-_DEPENDENT_VOWEL = CharClass.DEPENDENT_VOWEL
-_HALANTA = CharClass.HALANTA
-_NUKTA = CharClass.NUKTA
-_ANUSVARA = CharClass.ANUSVARA
-_CHANDRABINDU = CharClass.CHANDRABINDU
+# Class letters (see the module docstring) by table class; a consonant in
+# `plosive_offsets` is P, and ZWJ/ZWNJ are U. A code point that the table
+# does not know stays itself, and the class letters themselves map to x, so
+# input text can never pass for a class.
+_LETTER_OF_CLASS = {
+    CharClass.CONSONANT: "C",
+    CharClass.NUKTA: "N",
+    CharClass.HALANTA: "H",
+    CharClass.DEPENDENT_VOWEL: "M",
+    CharClass.INDEPENDENT_VOWEL: "V",
+    CharClass.ANUSVARA: "A",
+    CharClass.CHANDRABINDU: "A",
+}
 
-_OS_CONSONANT_CORE = OSKind.CONSONANT_CORE
-_OS_INDEPENDENT_VOWEL = OSKind.INDEPENDENT_VOWEL
-_OS_NASAL_CONSONANT = OSKind.NASAL_CONSONANT
-_OS_OTHER = OSKind.OTHER
+
+def _class_letters(table: ScriptTable) -> dict[int, str]:
+    """A str.translate table from code point to class letter."""
+    letters = dict.fromkeys(map(ord, "CPNHUMVAx"), "x")
+    for off, cls in table.class_by_offset.items():
+        letter = "P" if off in table.plosive_offsets else _LETTER_OF_CLASS.get(cls, "x")
+        letters[table.block_start + off] = letter
+    for ch in _UNIVERSAL_SIGNS:
+        letters[ord(ch)] = "U"
+    return letters
+
+
+_CLASS_LETTERS = {script: _class_letters(table) for script, table in TABLES.items()}
+
+# One orthographic syllable per match, by the rules that the syllabify_indic
+# and syllabify_alpha docstrings give.
+_INDIC_UNIT = re.compile(
+    r"[^CPVM]*(?:[CP]N*(?:HU*[CP]N*)*(?:HU*|M?(?:A(?!P))?)|[VM](?:A(?!P))?)[^CPNHMVA]*"
+    r"|[^CPVM]+"
+)
+_ALPHA_UNIT = re.compile(r"[^V]*V+(?:[^V]+\Z)?|[^V]+")
+
+# A unit's kind by the class letter it starts with; `_units` decides the
+# kind of a unit that starts with any other class.
+_KIND_OF_FIRST = {
+    "C": OSKind.CONSONANT_CORE,
+    "P": OSKind.CONSONANT_CORE,
+    "A": OSKind.NASAL_CONSONANT,
+    "V": OSKind.INDEPENDENT_VOWEL,
+}
+# syllabify tests every word against it: a global costs a fraction of an
+# Enum member lookup
 _UNSUPPORTED = ScriptId.UNSUPPORTED
+
+
+def _units(word: str, matches: list[str], core: str) -> list[OrthoSyllable]:
+    """Slice `word` by the lengths of its class-letter matches; a unit that
+    starts with no class of `_KIND_OF_FIRST` is ConsonantCore if it holds
+    one of the two letters in `core`, else Other."""
+    units = []
+    start = 0
+    for match in matches:
+        end = start + len(match)
+        kind = _KIND_OF_FIRST.get(match[0])
+        if kind is None:
+            if core[0] in match or core[1] in match:
+                kind = OSKind.CONSONANT_CORE
+            else:
+                kind = OSKind.OTHER
+        units.append(OrthoSyllable(word[start:end], kind))
+        start = end
+    return units
 
 
 def syllabify_indic(word: str, script: ScriptId) -> list[OrthoSyllable]:
     """Segment an abugida-script word into orthographic syllables.
 
-    A consonant cluster is C(halanta C)* with nukta fused to its consonant.
-    A bare consonant carries an implicit schwa and closes its unit; a
-    dependent vowel attaches to the cluster and closes it; an independent
-    vowel is a unit of its own. An anusvara/chandrabindu nasalizing the
-    vowel joins the unit on its left, while one standing for a nasal
-    consonant (next code point is a plosive) starts the next unit.
+    The units are the matches of `_INDIC_UNIT` over the word's class
+    letters. A consonant cluster is C(halanta C)* with nukta fused to its
+    consonant. A bare consonant carries an implicit schwa and closes its
+    unit; a dependent vowel attaches to the cluster and closes it; an
+    independent vowel is a unit of its own. An anusvara/chandrabindu
+    nasalizing the vowel joins the unit on its left, while one standing for
+    a nasal consonant (next code point is a plosive) starts the next unit.
 
     A unit's kind is read off its own code points: NasalConsonant if it
     starts with anusvara/chandrabindu, else ConsonantCore if it holds a
@@ -76,83 +141,14 @@ def syllabify_indic(word: str, script: ScriptId) -> list[OrthoSyllable]:
     """
     if not word:
         raise EmptyInputError("cannot syllabify an empty word")
-    table = get_table(script)
+    get_table(script)  # validate support
     if not script.is_abugida:
         raise UnsupportedScriptError(
             f"{script.value} is not an abugida script; use syllabify_alpha"
         )
     word = unicodedata.normalize("NFC", word)
-    cls = table.classify_word(word)
-    cls.append(None)  # past the end no class matches, so no bounds checks
-    n = len(word)
-    ends: list[int] = []  # where each unit ends; the next one starts there
-    start = 0  # the open unit is word[start:i]
-    vowel_end = -1  # where the last unit closed on a vowel or implicit schwa
-    i = 0
-    while i < n:
-        k = cls[i]
-        i += 1
-        if k is _CONSONANT:
-            # consume the whole cluster C(halanta C)*, nukta fused
-            while cls[i] is _NUKTA:
-                i += 1
-            while cls[i] is _HALANTA:
-                i += 1
-                while i < n and word[i] in _UNIVERSAL_SIGNS:
-                    i += 1
-                if cls[i] is not _CONSONANT:
-                    break  # word-final (or dangling) halanta attaches
-                i += 1  # cluster grows through the halanta
-                while cls[i] is _NUKTA:
-                    i += 1
-            else:
-                # a dependent vowel closes the cluster, and so does the
-                # implicit schwa before anything else
-                if cls[i] is _DEPENDENT_VOWEL:
-                    i += 1
-                vowel_end = i
-            ends.append(i)
-            start = i
-        elif k is _INDEPENDENT_VOWEL or k is _DEPENDENT_VOWEL:
-            # a dependent vowel here is a stray matra (malformed input):
-            # like an independent vowel it is a unit of its own
-            ends.append(i)
-            start = vowel_end = i
-        elif k is _ANUSVARA or k is _CHANDRABINDU:
-            # right after a vowel, and with no plosive next, it nasalizes
-            # that vowel and joins its unit; otherwise it is a nasal
-            # consonant, which opens the next unit and fuses with the
-            # following cluster
-            if vowel_end == i - 1 and not (
-                i < n and ord(word[i]) - table.block_start in table.plosive_offsets
-            ):
-                ends[-1] = start = i
-        elif k is _HALANTA or k is _NUKTA:
-            # a stray joiner (malformed input) carries into whatever follows
-            pass
-        elif start == i - 1 and ends:
-            # visarga, other signs, and non-script marks attach leftwards
-            ends[-1] = start = i
-    if start < n:
-        ends.append(n)
-
-    units: list[OrthoSyllable] = []
-    start = 0
-    for end in ends:
-        first = cls[start]
-        if first is _CONSONANT:
-            kind = _OS_CONSONANT_CORE
-        elif first is _ANUSVARA or first is _CHANDRABINDU:
-            kind = _OS_NASAL_CONSONANT
-        elif _CONSONANT in cls[start:end]:
-            kind = _OS_CONSONANT_CORE
-        elif first is _INDEPENDENT_VOWEL:
-            kind = _OS_INDEPENDENT_VOWEL
-        else:
-            kind = _OS_OTHER
-        units.append(OrthoSyllable(word[start:end], kind))
-        start = end
-    return units
+    classes = word.translate(_CLASS_LETTERS[script])
+    return _units(word, _INDIC_UNIT.findall(classes), "CP")
 
 
 def syllabify_alpha(
@@ -162,45 +158,33 @@ def syllabify_alpha(
 ) -> list[OrthoSyllable]:
     """Segment an alphabetic-script word into maximal C*V+ runs.
 
-    A word-initial vowel run is its own unit, a word-final consonant run
-    attaches to the preceding unit, and a vowel-less word is a single unit.
-    Casing is preserved. Vowels are the letters that the script's table
-    classifies as vowels (its vowel set, matched case-insensitively), so a
-    code point outside the script's letter ranges is never a vowel. A
-    `vowels` override is matched against each code point's case fold
-    instead.
+    The units are the matches of `_ALPHA_UNIT` over the word's class
+    letters. A word-initial vowel run is its own unit, a word-final
+    consonant run attaches to the preceding unit, and a vowel-less word is a
+    single unit. Casing is preserved. Vowels are the letters that the
+    script's table classifies as vowels (its vowel set, matched
+    case-insensitively), so a code point outside the script's letter ranges
+    is never a vowel. A `vowels` override is matched against each code
+    point's case fold instead.
+
+    A unit's kind is IndependentVowel if it starts with a vowel, else
+    ConsonantCore if it holds a vowel or consonant, else Other.
     """
     if not word:
         raise EmptyInputError("cannot syllabify an empty word")
-    table = get_table(script)
+    get_table(script)  # validate support
     if not script.is_alphabetic:
         raise UnsupportedScriptError(
             f"{script.value} is not an alphabetic script; use syllabify_indic"
         )
     word = unicodedata.normalize("NFC", word)
-    cls = table.classify_word(word)
-    if vowels is None:
-        vowel = [k is _INDEPENDENT_VOWEL for k in cls]
-    else:
-        vowel = [ch.casefold()[:1] in vowels for ch in word]
-    if True not in vowel:
-        kind = _OS_CONSONANT_CORE if _CONSONANT in cls else _OS_OTHER
-        return [OrthoSyllable(word, kind)]
-    # a unit ends wherever a vowel run gives way to a consonant run, except
-    # before the word-final consonant run, which attaches leftwards
-    n = len(word)
-    ends = [i for i in range(1, n) if vowel[i - 1] and not vowel[i]]
-    if not vowel[-1]:
-        ends.pop()
-    ends.append(n)
-
-    units: list[OrthoSyllable] = []
-    start = 0
-    for end in ends:
-        kind = _OS_INDEPENDENT_VOWEL if vowel[start] else _OS_CONSONANT_CORE
-        units.append(OrthoSyllable(word[start:end], kind))
-        start = end
-    return units
+    classes = word.translate(_CLASS_LETTERS[script])
+    if vowels is not None:
+        classes = "".join(
+            "V" if ch.casefold()[:1] in vowels else "C" if k == "C" else "x"
+            for ch, k in zip(word, classes)
+        )
+    return _units(word, _ALPHA_UNIT.findall(classes), "VC")
 
 
 def syllabify(word: str, script: ScriptId | None = None) -> list[OrthoSyllable]:
@@ -218,13 +202,13 @@ def syllabify(word: str, script: ScriptId | None = None) -> list[OrthoSyllable]:
     if script is None:
         detected = detect_script(word)
         if detected is _UNSUPPORTED:
-            return [OrthoSyllable(word, _OS_OTHER)]
+            return [OrthoSyllable(word, OSKind.OTHER)]
         script = detected
     else:
         get_table(script)  # validate support
         detected = _detect_or_none(word)
         if detected is not script:
-            return [OrthoSyllable(word, _OS_OTHER)]
+            return [OrthoSyllable(word, OSKind.OTHER)]
     if script.is_abugida:
         return syllabify_indic(word, script)
     return syllabify_alpha(word, script)

@@ -349,13 +349,26 @@ class TestContract:
         (["score", "--metric", "lebleu", "--delta", "0"], "--delta"),
         (["segment", "--unit", "char-ngram=1"], "--unit"),
         (["stats", "--unit", "bogus"], "--unit"),
+        (["segment", "--unit", "os", "--script", "Foo"], "--script"),
+        (["segment", "--unit", "os", "--script", "Unsupported"], "--script"),
+        (["syllabify", "--script", "Foo"], "--script"),
+        (["stats", "--unit", "os", "--script", "Foo"], "--script"),
+        (["classify", "--script", "auto"], "--script"),
+        (["classify", "--script", "Foo"], "--script"),
+        (["split", "--sizes", "1,x,2"], "--sizes"),
+        (["split", "--sizes", "1,-1,0"], "--sizes"),
+        (["split", "--sizes", "1,2"], "--sizes"),
     ])
-    def test_out_of_range_option_exit_2(self, argv, option, capsys):
+    def test_out_of_range_option_exit_2(self, argv, option, tmp_path, capsys):
         # a usage error, raised before any input is read: the named files
-        # do not exist, and reading them would exit 1 instead
+        # do not exist and stdin is not UTF-8, and reading either would
+        # exit 1 instead
         if argv[0] == "score":
             argv = argv + ["--hyp", "no-such-file", "--ref", "no-such-file"]
+        if argv[0] == "split":
+            argv = argv + ["--out-prefix", str(tmp_path / "piece")]
         with pytest.raises(SystemExit) as exc:
-            run(argv, stdin=io.BytesIO(b"ab\n"), stdout=io.StringIO())
+            run(argv, stdin=io.BytesIO(b"\xff"), stdout=io.StringIO())
         assert exc.value.code == 2
         assert f"argument {option}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

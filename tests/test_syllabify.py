@@ -1,5 +1,6 @@
 """Orthographic syllabification: golden segmentations and properties."""
 
+import itertools
 import unicodedata
 
 import pytest
@@ -375,3 +376,19 @@ def test_alpha_equals_oracle(script_word, vowels):
     assert outcome(syllabify_alpha, word, script, **kwargs) == outcome(
         syllabify_oracle.syllabify_alpha, word, script, **kwargs
     )
+
+
+@pytest.mark.parametrize("letter", "CPNHUMVAx")
+@pytest.mark.parametrize("script", SUPPORTED_SCRIPTS, ids=lambda s: s.value)
+def test_input_never_passes_for_a_class_letter(script, letter):
+    # the grammar runs over class letters; the same ASCII letters in the
+    # word itself must segment as whatever the script's table makes of them
+    fn, oracle = (
+        (syllabify_indic, syllabify_oracle.syllabify_indic) if script.is_abugida
+        else (syllabify_alpha, syllabify_oracle.syllabify_alpha)
+    )
+    start = TABLES[script].block_start
+    rule = [chr(start + off) for off in _RULE_OFFSETS]
+    for a, b in itertools.product(rule, rule):
+        for word in (letter + a + b, a + letter + b, a + b + letter):
+            assert outcome(fn, word, script) == outcome(oracle, word, script), word
