@@ -3,7 +3,9 @@
 One binary with subcommands; every subcommand reads standard input when no
 input path applies and writes data to standard output. Diagnostics go to
 standard error only. Exit status: 0 on success, 1 on data errors, 2 on
-usage errors.
+usage errors. An adapter without rules of its own: option types are the
+library's checks, so a bad value is a usage error before input is read,
+and handlers return output lines that `run` alone writes.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ import sys
 
 from . import corpus as corpus_io
 from . import metrics
-from .errors import OrthosylError, ParameterError, UnsupportedScriptError, raise_at_line
+from .errors import OrthosylError, map_lines
+from .metrics.bleu import check_max_n
+from .metrics.lebleu import DEFAULT_DELTA, check_delta
 from .scripts import SUPPORTED_SCRIPTS, ScriptId, classify, get_table
 from .segment import (
     DEFAULT_MARKER,
     MorphLexicon,
     UnitScheme,
+    check_marker,
     detokenize,
     segment_corpus,
     segment_word,
@@ -27,63 +32,33 @@ from .segment import (
 _SCRIPT_NAMES = sorted(s.value for s in SUPPORTED_SCRIPTS)
 
 
-# Option types: an out-of-range value is a usage error (exit 2), reported
-# by argparse before any input is read.
-def _script(text: str) -> ScriptId:
-    try:
-        script = ScriptId.parse(text)
-        get_table(script)  # a script name, but is it supported?
-    except UnsupportedScriptError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return script
+def _option(name: str, parse):
+    """An argparse type: parse(text) runs a library check, whose OrthosylError is a usage error."""
+    def option(text: str):
+        try:
+            return parse(text)
+        except OrthosylError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    option.__name__ = name  # argparse's "invalid NAME value" for int() and float() errors
+    return option
 
 
-def _script_or_auto(text: str) -> ScriptId | None:
-    return None if text.lower() == "auto" else _script(text)
-
-
-def _sizes(text: str) -> tuple[int, int, int]:
-    try:
-        sizes = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        sizes = ()
-    if len(sizes) != 3 or min(sizes) < 0:
-        raise argparse.ArgumentTypeError(
-            f"expects three nonnegative integers TRAIN,TUNE,TEST, got {text!r}")
-    return sizes
-
-
-def _unit_scheme(text: str) -> UnitScheme:
-    try:
-        return UnitScheme.parse(text)
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _max_n(text: str) -> int:
-    try:
-        max_n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if max_n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return max_n
-
-
-def _delta(text: str) -> float:
-    try:
-        delta = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < delta <= 1:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
-    return delta
+_script = _option("script", lambda text: get_table(ScriptId.parse(text)).script)
+_script_or_auto = _option("script", lambda text: None if text.lower() == "auto" else _script(text))
+_unit_scheme = _option("unit", UnitScheme.parse)
+_marker = _option("marker", check_marker)
+_max_n = _option("int", lambda text: check_max_n(int(text)))
+_delta = _option("float", lambda text: check_delta(float(text)))
+_sizes = _option("TRAIN,TUNE,TEST",
+                 lambda text: corpus_io.check_split_sizes(tuple(map(int, text.split(",")))))
 
 
 def _add_marker_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--marker",
         default=DEFAULT_MARKER,
+        type=_marker,
         help=f"word-boundary marker character (default: {DEFAULT_MARKER!r})",
     )
 
@@ -140,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True, metavar="PATH")
     p.add_argument("--max-n", type=_max_n, default=4)
     p.add_argument("--delta", type=_delta,
-                   help="fuzzy word-match threshold (lebleu only, default 0.6)")
+                   help=f"fuzzy word-match threshold (lebleu only, default {DEFAULT_DELTA})")
     p.add_argument("--report", metavar="PATH",
                    help="also write a key-value report file")
 
@@ -164,88 +139,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_lexicon(path: str | None, scheme: UnitScheme | None = None) -> MorphLexicon | None:
-    if path:
-        return MorphLexicon.load(path)
-    # morph scheme without a lexicon: every word is unknown and passes
-    # through whole, so an empty lexicon is the right default
-    if scheme is not None and scheme.kind == "morph":
-        return MorphLexicon()
-    return None
+def _load_lexicon(path: str | None) -> MorphLexicon:
+    # without a lexicon every word is unknown and passes through whole
+    return MorphLexicon.load(path) if path else MorphLexicon()
 
 
-def _cmd_segment(args, stdin, stdout) -> None:
-    lines = corpus_io.load_corpus(stdin)
-    for out in segment_corpus(
-        lines,
+def _cmd_segment(args, stdin):
+    return segment_corpus(
+        corpus_io.load_corpus(stdin),
         args.unit,
         marker=args.marker,
-        morphs=_load_lexicon(args.morph_lexicon, args.unit),
+        morphs=_load_lexicon(args.morph_lexicon),
         script=args.script,
         on_marker_collision=args.on_marker_collision,
         skip_errors=args.skip_errors,
         error_sink=sys.stderr,
-    ):
-        print(out, file=stdout)
+    )
 
 
-def _cmd_desegment(args, stdin, stdout) -> None:
-    for lineno, line in enumerate(corpus_io.load_corpus(stdin), start=1):
-        try:
-            print(detokenize(line.split(), args.marker), file=stdout)
-        except OrthosylError as exc:
-            raise_at_line(exc, lineno)
+def _cmd_desegment(args, stdin):
+    return map_lines(lambda line: detokenize(line.split(), args.marker),
+                     corpus_io.load_corpus(stdin))
 
 
-def _cmd_syllabify(args, stdin, stdout) -> None:
+def _cmd_syllabify(args, stdin):
     scheme = UnitScheme.ortho_syllable()
-    for lineno, line in enumerate(corpus_io.load_corpus(stdin), start=1):
-        try:
-            units = [segment_word(word, scheme, script=args.script) for word in line.split()]
-        except OrthosylError as exc:
-            raise_at_line(exc, lineno)
-        print(" ".join(" ".join(word_units) for word_units in units), file=stdout)
+    return map_lines(lambda line: " ".join(
+        unit for word in line.split() for unit in segment_word(word, scheme, script=args.script)
+    ), corpus_io.load_corpus(stdin))
 
 
-def _cmd_classify(args, stdin, stdout) -> None:
+def _cmd_classify(args, stdin):
     script = args.script
     for line in corpus_io.load_corpus(stdin):
         for ch in line:
-            print(f"{ch}\t{script.value}\t{classify(ch, script).value}", file=stdout)
+            yield f"{ch}\t{script.value}\t{classify(ch, script).value}"
 
 
-def _cmd_lcsr(args, stdin, stdout) -> None:
+def _cmd_lcsr(args, stdin):
     a_lines = corpus_io.load_corpus(args.a)
     b_lines = corpus_io.load_corpus(args.b)
     pairs = metrics.aligned_pairs(a_lines, b_lines)
     if args.per_line:
         for a, b in pairs:
-            print(f"{metrics.lcsr(a, b):.6f}", file=stdout)
+            yield f"{metrics.lcsr(a, b):.6f}"
     else:
-        print(f"LCSR = {metrics.corpus_lcsr(pairs):.6f}", file=stdout)
+        yield f"LCSR = {metrics.corpus_lcsr(pairs):.6f}"
 
 
-def _cmd_correlate(args, stdin, stdout) -> None:
+def _cmd_correlate(args, stdin):
     value = metrics.similarity_correlation(
         corpus_io.load_corpus(args.src),
         corpus_io.load_corpus(args.tgt),
         corpus_io.load_corpus(args.hyp),
         corpus_io.load_corpus(args.ref),
     )
-    print(f"Pearson = {value:.6f}", file=stdout)
+    yield f"Pearson = {value:.6f}"
 
 
-def _cmd_score(args, stdin, stdout) -> None:
+def _cmd_score(args, stdin):
     hyps = corpus_io.load_corpus(args.hyp)
     refs = corpus_io.load_corpus(args.ref)
     if args.metric == "bleu":
         report = metrics.bleu(hyps, refs, max_n=args.max_n)
         label = "BLEU"
     else:
-        delta = 0.6 if args.delta is None else args.delta
+        delta = DEFAULT_DELTA if args.delta is None else args.delta
         report = metrics.lebleu_report(hyps, refs, delta=delta, max_n=args.max_n)
         label = "Le-BLEU"
-    print(f"{label} = {report.score:.2f}", file=stdout)
+    yield f"{label} = {report.score:.2f}"
     if args.report:
         lines = [
             f"metric = {args.metric}",
@@ -262,28 +224,28 @@ def _cmd_score(args, stdin, stdout) -> None:
         corpus_io.write_corpus(lines, args.report)
 
 
-def _cmd_nbest_rescore(args, stdin, stdout) -> None:
+def _cmd_nbest_rescore(args, stdin):
     nbest = metrics.parse_nbest(corpus_io.load_corpus(args.nbest))
     refs = corpus_io.load_corpus(args.ref)
-    for line in metrics.rescore_nbest(nbest, refs, marker=args.marker).format_lines():
-        print(line, file=stdout)
+    yield from metrics.rescore_nbest(nbest, refs, marker=args.marker).format_lines()
 
 
-def _cmd_stats(args, stdin, stdout) -> None:
+def _cmd_stats(args, stdin):
     stats = corpus_io.vocab_stats(
         corpus_io.load_corpus(stdin),
         args.unit,
-        morphs=_load_lexicon(args.morph_lexicon, args.unit),
+        morphs=_load_lexicon(args.morph_lexicon),
         script=args.script,
     )
-    print(stats.format_line(), file=stdout)
+    yield stats.format_line()
 
 
-def _cmd_split(args, stdin, stdout) -> None:
+def _cmd_split(args, stdin):
     lines = corpus_io.load_corpus(stdin)
     pieces = corpus_io.split_corpus(lines, args.sizes, seed=args.seed)
     for name, piece in zip(("train", "tune", "test"), pieces):
         corpus_io.write_corpus(piece, f"{args.out_prefix}.{name}")
+    return []
 
 
 _COMMANDS = {
@@ -308,8 +270,16 @@ def run(argv: list[str] | None = None, stdin=None, stdout=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "score" and args.metric != "lebleu" and args.delta is not None:
         parser.error("--delta applies to --metric lebleu only")
+    if args.command == "segment":
+        try:
+            check_marker(args.marker, args.on_marker_collision)
+        except OrthosylError as exc:
+            parser.error(f"argument --marker: {exc}")
     try:
-        _COMMANDS[args.command](args, stdin, stdout)
+        for line in _COMMANDS[args.command](args, stdin):
+            # two writes: a StringIO keeps each string, so line + "\n" would copy the output
+            stdout.write(line)
+            stdout.write("\n")
     except OrthosylError as exc:
         print(f"orthosyl {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -11,16 +11,11 @@ import random
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .errors import (
-    CorpusDecodeError,
-    DegenerateCorpusError,
-    OrthosylError,
-    SplitSizeError,
-    raise_at_line,
-)
+from .errors import CorpusDecodeError, DegenerateCorpusError, SplitSizeError, map_lines
 from .scripts import ScriptId
 from .segment import MorphLexicon, UnitScheme, segment_word
 
@@ -68,6 +63,13 @@ def write_corpus(lines: Iterable[str], destination: str | Path | IO) -> None:
         destination.write(payload)
 
 
+def check_split_sizes(sizes: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Return the sizes if they are three nonnegative integers; else SplitSizeError."""
+    if len(sizes) != 3 or min(sizes) < 0:
+        raise SplitSizeError(f"split sizes must be three nonnegative integers, got {sizes}")
+    return sizes
+
+
 def split_corpus(
     lines: Sequence[str],
     sizes: tuple[int, int, int],
@@ -78,9 +80,7 @@ def split_corpus(
     The default split is the contiguous prefix in train/tune/test order;
     passing a seed shuffles reproducibly before splitting.
     """
-    train_n, tune_n, test_n = sizes
-    if min(sizes) < 0:
-        raise SplitSizeError(f"split sizes must be nonnegative, got {sizes}")
+    train_n, tune_n, test_n = check_split_sizes(sizes)
     if train_n + tune_n + test_n > len(lines):
         raise SplitSizeError(
             f"requested {train_n + tune_n + test_n} lines "
@@ -128,13 +128,10 @@ def vocab_stats(
     that cannot be segmented raises its OrthosylError with the 1-based line
     number attached, as in segment_corpus.
     """
-    counts: Counter[str] = Counter()
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            for word in line.split():
-                counts.update(segment_word(word, scheme, morphs, script))
-        except OrthosylError as exc:
-            raise_at_line(exc, lineno)
+    def line_units(line: str) -> list[str]:
+        return [u for word in line.split() for u in segment_word(word, scheme, morphs, script)]
+
+    counts = Counter(chain.from_iterable(map_lines(line_units, lines)))
     token_count = sum(counts.values())
     type_cp = sum(len(unit) for unit in counts)
     mean_len = (type_cp / len(counts)) if counts else 0.0

@@ -4,7 +4,7 @@ Every data-level failure raises a subclass of :class:`OrthosylError` so the
 CLI can map them uniformly to exit status 1.
 """
 
-from typing import NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 
 class OrthosylError(Exception):
@@ -73,3 +73,13 @@ def raise_at_line(exc: OrthosylError, lineno: int) -> NoReturn:
     exc.lineno = lineno
     exc.args = (f"line {lineno}: {exc}",)
     raise exc from None
+
+
+def map_lines(fn: Callable[[str], object], lines: Iterable[str]) -> Iterator:
+    """Yield fn(line) per line, lazily; an OrthosylError from fn gets its line number."""
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            result = fn(line)
+        except OrthosylError as exc:
+            raise_at_line(exc, lineno)
+        yield result

@@ -41,9 +41,15 @@ def _tokenize(line: str) -> list[str]:
     return line.split()
 
 
-def _validate(hyps: Sequence[str], refs: Sequence[str], max_n: int) -> None:
+def check_max_n(max_n: int) -> int:
+    """Return the highest n-gram order if it is at least 1; else ParameterError."""
     if max_n < 1:
         raise ParameterError(f"max_n must be >= 1, got {max_n}")
+    return max_n
+
+
+def _validate(hyps: Sequence[str], refs: Sequence[str], max_n: int) -> None:
+    check_max_n(max_n)
     if len(hyps) != len(refs):
         raise AlignmentError(
             f"hypotheses and references are not aligned: "
@@ -122,8 +128,7 @@ def sentence_bleu_smoothed(
     hyp_tokens: Sequence[str], ref_tokens: Sequence[str], max_n: int = 4
 ) -> float:
     """Sentence-level BLEU with add-one smoothing on orders >= 2."""
-    if max_n < 1:
-        raise ParameterError(f"max_n must be >= 1, got {max_n}")
+    check_max_n(max_n)
     precisions: list[float] = []
     for n in range(1, max_n + 1):
         total = max(len(hyp_tokens) - n + 1, 0)

@@ -6,7 +6,7 @@ import math
 from typing import Sequence
 
 from ..errors import AlignmentError, ParameterError, UndefinedCorrelationError
-from .lcs import aligned_pairs, lcsr
+from .lcs import lcsr
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -55,6 +55,6 @@ def similarity_correlation(
     if len(set(lengths.values())) != 1:
         detail = ", ".join(f"{k}: {v} lines" for k, v in lengths.items())
         raise AlignmentError(f"the four files are not aligned ({detail})")
-    xs = [lcsr(s, t) for s, t in aligned_pairs(src_lines, tgt_lines)]
-    ys = [lcsr(h, r) for h, r in aligned_pairs(hyp_lines, ref_lines)]
+    xs = [lcsr(s, t) for s, t in zip(src_lines, tgt_lines)]
+    ys = [lcsr(h, r) for h, r in zip(hyp_lines, ref_lines)]
     return pearson(xs, ys)

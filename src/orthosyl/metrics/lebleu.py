@@ -52,6 +52,8 @@ from ..errors import ParameterError
 from .bleu import BleuReport, _corpus_report
 from .lcs import edit_distance
 
+DEFAULT_DELTA = 0.6
+
 
 def word_similarity(w: str, v: str) -> float:
     """1 - edit_distance/max_length; 1.0 for two empty words."""
@@ -99,15 +101,21 @@ def _greedy_mass(contributions: dict[tuple[int, int], float]) -> float:
     return mass
 
 
+def check_delta(delta: float) -> float:
+    """Return the word-match threshold if it lies in (0, 1]; else ParameterError."""
+    if not (0.0 < delta <= 1.0):  # also rejects nan
+        raise ParameterError(f"delta must be in (0, 1], got {delta}")
+    return delta
+
+
 def lebleu_report(
     hyps: Sequence[str],
     refs: Sequence[str],
-    delta: float = 0.6,
+    delta: float = DEFAULT_DELTA,
     max_n: int = 4,
 ) -> BleuReport:
     """Fuzzy-match BLEU report; `lebleu` returns just its score."""
-    if not (0.0 < delta <= 1.0):
-        raise ParameterError(f"delta must be in (0, 1], got {delta}")
+    check_delta(delta)
 
     def matched_per_order(hyp, ref, top):
         sim = level = _similar_pairs(hyp, ref, delta)
@@ -126,7 +134,7 @@ def lebleu_report(
 def lebleu(
     hyps: Sequence[str],
     refs: Sequence[str],
-    delta: float = 0.6,
+    delta: float = DEFAULT_DELTA,
     max_n: int = 4,
 ) -> float:
     """Fuzzy-match BLEU score as a percentage."""

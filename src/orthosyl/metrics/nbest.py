@@ -11,10 +11,10 @@ the smoothed word-level BLEU against the matching reference as a fifth
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from ..errors import AlignmentError, MalformedStreamError, raise_at_line
+from ..errors import AlignmentError, MalformedStreamError, OrthosylError, raise_at_line
 from ..segment import DEFAULT_MARKER, detokenize
 from .bleu import sentence_bleu_smoothed
 
@@ -29,6 +29,7 @@ class NBestEntry:
     model_score: float
     word_bleu: float | None = None
     score_text: str | None = None  # original field text, kept verbatim
+    lineno: int | None = field(default=None, compare=False)  # in the parsed file
 
     def format(self) -> str:
         fields = [
@@ -80,6 +81,7 @@ def parse_nbest(lines: Iterable[str]) -> NBestList:
                 features=fields[2],
                 model_score=model_score,
                 score_text=fields[3],
+                lineno=lineno,
             )
         )
     return NBestList(tuple(entries))
@@ -94,26 +96,23 @@ def rescore_nbest(
     """Append word-level smoothed BLEU to every entry of a sub-word n-best list.
 
     Each entry's tokens are desegmented to words via the boundary marker and
-    scored against the word-level reference with the same sentence id.
+    scored against the word-level reference with the same sentence id. Errors
+    name the entry's line if parse_nbest read it.
     """
     rescored: list[NBestEntry] = []
     for entry in nbest.entries:
-        if not (0 <= entry.sentence_id < len(refs)):
-            raise AlignmentError(
-                f"sentence id {entry.sentence_id} has no reference "
-                f"(got {len(refs)} reference lines)"
-            )
-        words = detokenize(entry.tokens, marker).split()
+        try:
+            if not (0 <= entry.sentence_id < len(refs)):
+                raise AlignmentError(
+                    f"sentence id {entry.sentence_id} has no reference "
+                    f"(got {len(refs)} reference lines)"
+                )
+            words = detokenize(entry.tokens, marker).split()
+        except OrthosylError as exc:
+            if entry.lineno is None:
+                raise
+            raise_at_line(exc, entry.lineno)
         ref_words = refs[entry.sentence_id].split()
         score = sentence_bleu_smoothed(words, ref_words, max_n=max_n)
-        rescored.append(
-            NBestEntry(
-                sentence_id=entry.sentence_id,
-                tokens=entry.tokens,
-                features=entry.features,
-                model_score=entry.model_score,
-                word_bleu=score,
-                score_text=entry.score_text,
-            )
-        )
+        rescored.append(replace(entry, word_bleu=score))
     return NBestList(tuple(rescored))

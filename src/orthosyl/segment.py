@@ -9,6 +9,7 @@ be reconstructed exactly by concatenating units between markers.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -79,7 +80,7 @@ class UnitScheme:
         text = text.strip().lower()
         if text.startswith(_CHAR_NGRAM):
             _, sep, num = text.partition("=")
-            if not sep or not num.isdigit():
+            if not sep or not num.isdecimal():
                 raise ParameterError(f"expected char-ngram=N, got {text!r}")
             return cls.char_ngram(int(num))
         if text in (_WORD, _MORPH, _CHAR, _OS):
@@ -192,6 +193,15 @@ def _os_units(word: str, script: ScriptId | None) -> tuple[str, ...]:
     return tuple(unit.text for unit in syllabify(word, script))
 
 
+def check_marker(marker: str, on_marker_collision: str = "error") -> str:
+    """Return the marker if it survives str.split() and NFC; else ParameterError."""
+    if len(marker) != 1 or marker.isspace() or not unicodedata.is_normalized("NFC", marker):
+        raise ParameterError(f"marker must be one non-whitespace NFC code point, got {marker!r}")
+    if on_marker_collision == "replace" and marker == MARKER_SUBSTITUTE:
+        raise ParameterError(f"marker {marker!r} is the in-word substitute under 'replace'")
+    return marker
+
+
 def tokenize_sentence(
     sentence: str,
     scheme: UnitScheme,
@@ -208,8 +218,7 @@ def tokenize_sentence(
     `on_marker_collision="replace"`, which silently substitutes the
     in-word occurrences with MARKER_SUBSTITUTE.
     """
-    if len(marker) != 1:
-        raise ParameterError(f"marker must be a single code point, got {marker!r}")
+    check_marker(marker, on_marker_collision)
     if on_marker_collision not in ("error", "replace"):
         raise ParameterError(
             f"on_marker_collision must be 'error' or 'replace', got {on_marker_collision!r}"

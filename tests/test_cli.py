@@ -3,12 +3,19 @@
 import io
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from orthosyl.cli import run
-from orthosyl.corpus import load_corpus
+from orthosyl.cli import _COMMANDS, run
+from orthosyl.corpus import check_split_sizes, load_corpus
+from orthosyl.errors import OrthosylError
+from orthosyl.metrics.bleu import check_max_n
+from orthosyl.metrics.lebleu import check_delta
+from orthosyl.scripts import ScriptId, get_table
+from orthosyl.segment import UnitScheme, check_marker
 from orthosyl.syllabify import syllabify
 
 
@@ -358,6 +365,17 @@ class TestContract:
         (["split", "--sizes", "1,x,2"], "--sizes"),
         (["split", "--sizes", "1,-1,0"], "--sizes"),
         (["split", "--sizes", "1,2"], "--sizes"),
+        (["segment", "--unit", "char", "--marker", " "], "--marker"),
+        (["segment", "--unit", "char", "--marker", "\u3000"], "--marker"),
+        (["segment", "--unit", "char", "--marker", "ab"], "--marker"),
+        (["segment", "--unit", "char", "--marker", ""], "--marker"),
+        (["segment", "--unit", "char", "--marker", "\u2126"], "--marker"),
+        (["segment", "--unit", "char", "--marker", "▁", "--on-marker-collision", "replace"],
+         "--marker"),
+        (["desegment", "--marker", "ab"], "--marker"),
+        (["desegment", "--marker", " "], "--marker"),
+        (["nbest-rescore", "--nbest", "no-such-file", "--ref", "no-such-file", "--marker", "ab"],
+         "--marker"),
     ])
     def test_out_of_range_option_exit_2(self, argv, option, tmp_path, capsys):
         # a usage error, raised before any input is read: the named files
@@ -372,3 +390,80 @@ class TestContract:
         assert exc.value.code == 2
         assert f"argument {option}: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,option,expected", [
+        (["score", "--metric", "bleu", "--max-n", "0"], "--max-n", lambda: check_max_n(0)),
+        (["score", "--metric", "lebleu", "--delta", "1.5"], "--delta", lambda: check_delta(1.5)),
+        (["score", "--metric", "lebleu", "--delta", "nan"], "--delta",
+         lambda: check_delta(float("nan"))),
+        (["segment", "--unit", "char-ngram=1"], "--unit", lambda: UnitScheme.parse("char-ngram=1")),
+        (["stats", "--unit", "bogus"], "--unit", lambda: UnitScheme.parse("bogus")),
+        (["syllabify", "--script", "Foo"], "--script", lambda: ScriptId.parse("Foo")),
+        (["classify", "--script", "Unsupported"], "--script",
+         lambda: get_table(ScriptId.UNSUPPORTED)),
+        (["split", "--sizes", "1,-1,0"], "--sizes", lambda: check_split_sizes((1, -1, 0))),
+        (["split", "--sizes", "1,2"], "--sizes", lambda: check_split_sizes((1, 2))),
+        (["desegment", "--marker", " "], "--marker", lambda: check_marker(" ")),
+        (["segment", "--unit", "char", "--marker", "▁", "--on-marker-collision", "replace"],
+         "--marker", lambda: check_marker("▁", "replace")),
+        (["score", "--metric", "bleu", "--max-n", "x"], "--max-n", "invalid int value: 'x'"),
+        (["score", "--metric", "lebleu", "--delta", "x"], "--delta", "invalid float value: 'x'"),
+    ])
+    def test_usage_error_states_the_library_check(self, argv, option, expected, tmp_path, capsys):
+        # the message is the library's own, not a copy of its rule; values
+        # that are not numbers keep argparse's wording
+        if callable(expected):
+            with pytest.raises(OrthosylError) as lib:
+                expected()
+            expected = str(lib.value)
+        if argv[0] == "score":
+            argv = argv + ["--hyp", "no-such-file", "--ref", "no-such-file"]
+        if argv[0] == "split":
+            argv = argv + ["--out-prefix", str(tmp_path / "piece")]
+        with pytest.raises(SystemExit) as exc:
+            run(argv, stdin=io.BytesIO(b"\xff"), stdout=io.StringIO())
+        assert exc.value.code == 2
+        assert f"argument {option}: {expected}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in _COMMANDS])
+    def test_help_exit_0_on_stdout_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, stdin=io.BytesIO(b"\xff"), stdout=io.StringIO())
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: orthosyl ")
+        assert err == ""
+
+
+# Lines as a file holds them, NFC: any code point but LF and the BOM that
+# load_corpus strips, with the whitespace that str.split() splits at
+file_lines_st = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(" \t\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\ufeff"),
+    )
+).map(lambda s: unicodedata.normalize("NFC", s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.characters(blacklist_categories=("Cs",)),
+    file_lines_st,
+    st.sampled_from(["char", "char-ngram=3", "os"]),
+)
+@example(" ", "ab cd", "char")
+@example("\u2126", "ab cd", "char")
+@example("\x85", "ab cd", "char")
+def test_round_trip_over_markers(marker, line, unit):
+    """segment | desegment maps a marker-free line to its words joined by one space,
+    for every marker that segment accepts."""
+    assume(marker not in line)
+    try:
+        status, segmented = invoke(["segment", "--unit", unit, f"--marker={marker}"], line + "\n")
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assume(status == 0)  # a word no scheme segments (a mixed-script word under os)
+    status, restored = invoke(["desegment", f"--marker={marker}"], segmented)
+    assert status == 0
+    assert restored == " ".join(line.split()) + "\n"

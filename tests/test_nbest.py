@@ -91,3 +91,20 @@ def test_malformed_marker_stream_propagates():
     nbest = parse_nbest(["0 ||| रा _ _ को ||| f ||| 0.0"])
     with pytest.raises(MalformedStreamError):
         rescore_nbest(nbest, REFS)
+
+
+def test_missing_reference_names_its_nbest_line():
+    # the blank line is skipped, so the entry's index is not its line
+    nbest = parse_nbest(["0 ||| a ||| f ||| 1", "", "3 ||| b ||| f ||| 1"])
+    with pytest.raises(AlignmentError) as info:
+        rescore_nbest(nbest, ["a"])
+    assert info.value.lineno == 3
+    assert str(info.value) == "line 3: sentence id 3 has no reference (got 1 reference lines)"
+
+
+def test_malformed_marker_stream_names_its_nbest_line():
+    nbest = parse_nbest(["", "0 ||| a _ _ b ||| f ||| 1"])
+    with pytest.raises(MalformedStreamError) as info:
+        rescore_nbest(nbest, ["a b"])
+    assert info.value.lineno == 2
+    assert str(info.value) == "line 2: two consecutive boundary markers"

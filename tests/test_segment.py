@@ -20,6 +20,7 @@ from orthosyl.segment import (
     MARKER_SUBSTITUTE,
     MorphLexicon,
     UnitScheme,
+    check_marker,
     detokenize,
     segment_corpus,
     segment_word,
@@ -43,6 +44,11 @@ class TestUnitScheme:
             UnitScheme.parse("bpe")
         with pytest.raises(ParameterError):
             UnitScheme.parse("char-ngram=x")
+
+    def test_parse_rejects_digits_int_cannot_read(self):
+        # "²".isdigit() holds but int("²") raises ValueError
+        with pytest.raises(ParameterError):
+            UnitScheme.parse("char-ngram=²")
 
     def test_ngram_needs_n_at_least_2(self):
         with pytest.raises(ParameterError):
@@ -226,6 +232,28 @@ class TestTokenize:
     def test_marker_must_be_single_codepoint(self):
         with pytest.raises(ParameterError):
             tokenize_sentence("ab", UnitScheme.char_unigram(), marker="__")
+
+    @pytest.mark.parametrize("marker,on_marker_collision", [
+        ("", "error"),
+        ("__", "error"),
+        (" ", "error"),
+        ("\t", "error"),
+        ("\x1c", "error"),  # str.split() splits here too
+        ("\x85", "error"),
+        ("\u3000", "error"),
+        ("\u2126", "error"),  # OHM SIGN: NFC makes it U+03A9
+        (MARKER_SUBSTITUTE, "replace"),
+    ])
+    def test_illegal_marker_is_rejected(self, marker, on_marker_collision):
+        with pytest.raises(ParameterError):
+            check_marker(marker, on_marker_collision)
+        with pytest.raises(ParameterError):
+            tokenize_sentence("ab cd", UnitScheme.char_unigram(), marker=marker,
+                              on_marker_collision=on_marker_collision)
+
+    @pytest.mark.parametrize("marker", ["_", "|", "\u03a9", MARKER_SUBSTITUTE, "\u200c"])
+    def test_legal_marker_is_returned(self, marker):
+        assert check_marker(marker) == marker
 
     def test_no_marker_adjacency(self):
         ts = tokenize_sentence(

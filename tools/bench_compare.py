@@ -15,7 +15,9 @@ alternating which of the two goes first, and (re)writes BENCH_NAME.json in
 the current directory after every pair. Per end-to-end metric of
 BENCHMARK.json the file holds both sides' raw and scaled medians,
 quartiles and IQR / median, the change / parent ratio of the scaled
-medians, and how many pairs the change won; it also keeps every run's
+medians, and how many pairs each side won. Per side it adds up the
+checks attempted and failed and counts the runs that exited non-zero,
+whose pairs are left out of the summaries. It also keeps every run's
 figures, the seeds and the two revisions (a checkout's `git rev-parse
 HEAD` unless given).
 """
@@ -80,7 +82,21 @@ def summary(values: list[float]) -> dict | None:
 
 
 def collate(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per-side run totals and, per end-to-end metric, both sides' summaries.
+
+    `sides` adds up each side's `attempted` and `failed` checks. A run that
+    exited non-zero drops its pair from the metric summaries, and its
+    side's `pairs_dropped` counts it. A tie counts as a win for neither side.
+    """
     ok = [p for p in pairs if all(p[s]["exit"] == 0 for s in SIDES)]
+    sides = {
+        side: {
+            "attempted": sum(p[side].get("attempted", 0) for p in pairs),
+            "failed": sum(p[side].get("failed", 0) for p in pairs),
+            "pairs_dropped": sum(p[side]["exit"] != 0 for p in pairs),
+        }
+        for side in SIDES
+    }
     out = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -94,14 +110,12 @@ def collate(pairs: list[dict], metrics: list[dict]) -> dict:
         entry["ratio_scaled_median"] = (
             change["median"] / parent["median"] if parent and change and parent["median"] else None
         )
-        entry["change_wins"] = sum(
-            (p["change"]["scaled"][name] > p["parent"]["scaled"][name]) == higher
-            and p["change"]["scaled"][name] != p["parent"]["scaled"][name]
-            for p in ok
-        )
+        values = [(p["parent"]["scaled"][name], p["change"]["scaled"][name]) for p in ok]
+        entry["change_wins"] = sum(c != p and (c > p) == higher for p, c in values)
+        entry["parent_wins"] = sum(c != p and (p > c) == higher for p, c in values)
         entry["pairs"] = len(ok)
         out[name] = entry
-    return out
+    return {"sides": sides, "metrics": out}
 
 
 def main() -> int:
@@ -136,11 +150,12 @@ def main() -> int:
             for side in order:
                 pair[side] = run_once(dirs[side], workload, seed, args.seconds)
             pairs.append(pair)
-            bench["workloads"][workload] = {"metrics": collate(pairs, metrics), "pairs": pairs}
+            bench["workloads"][workload] = {**collate(pairs, metrics), "pairs": pairs}
             out_path.write_text(json.dumps(bench, indent=1) + "\n")
             seg = {s: pair[s].get("scaled", {}).get("segment_mchar_s") for s in SIDES}
-            print(f"{workload} seed {seed}: segment parent {seg['parent']} change {seg['change']}",
-                  flush=True)
+            failed = {s: pair[s].get("failed", f"exit {pair[s]['exit']}") for s in SIDES}
+            print(f"{workload} seed {seed}: segment parent {seg['parent']} change {seg['change']}"
+                  f", failed parent {failed['parent']} change {failed['change']}", flush=True)
     return 0
 
 
