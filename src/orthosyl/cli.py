@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-errors", action="store_true",
                    help="pass offending lines through instead of failing")
 
-    p = sub.add_parser("desegment", help="invert segment output to sentences")
+    p = sub.add_parser("desegment", help="invert sub-word segment output to sentences "
+                       "(--unit word output already is the sentence)")
     _add_marker_flag(p)
 
     p = sub.add_parser("syllabify", help="orthographic syllables, one word per line")

@@ -4,7 +4,7 @@ Every data-level failure raises a subclass of :class:`OrthosylError` so the
 CLI can map them uniformly to exit status 1.
 """
 
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn, Sized
 
 
 class OrthosylError(Exception):
@@ -63,8 +63,18 @@ class LexiconFormatError(OrthosylError):
     """A morph lexicon file entry is malformed or inconsistent."""
 
 
-def raise_at_line(exc: OrthosylError, lineno: int) -> NoReturn:
-    """Re-raise a per-line error with its 1-based line number attached.
+def check_aligned(**corpora: Sized) -> None:
+    """Raise AlignmentError, naming each input and its line count, unless the counts agree."""
+    counts = [len(lines) for lines in corpora.values()]
+    if len(set(counts)) > 1:
+        raise AlignmentError(
+            f"{', '.join(corpora)} are not aligned: "
+            + " vs ".join(f"{count} lines" for count in counts)
+        )
+
+
+def attach_line(exc: OrthosylError, lineno: int) -> OrthosylError:
+    """Attach a per-line error's 1-based line number and return the error.
 
     The message gains a "line N: " prefix and the exception a `lineno`
     attribute. It stays the same object, so its type and every other
@@ -72,7 +82,12 @@ def raise_at_line(exc: OrthosylError, lineno: int) -> NoReturn:
     """
     exc.lineno = lineno
     exc.args = (f"line {lineno}: {exc}",)
-    raise exc from None
+    return exc
+
+
+def raise_at_line(exc: OrthosylError, lineno: int) -> NoReturn:
+    """Raise a per-line error with its line number attached (see attach_line)."""
+    raise attach_line(exc, lineno) from None
 
 
 def map_lines(fn: Callable[[str], object], lines: Iterable[str]) -> Iterator:

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..errors import AlignmentError, EmptyInputError, ParameterError
+from ..errors import EmptyInputError, ParameterError, check_aligned
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,7 @@ def check_max_n(max_n: int) -> int:
 
 def _validate(hyps: Sequence[str], refs: Sequence[str], max_n: int) -> None:
     check_max_n(max_n)
-    if len(hyps) != len(refs):
-        raise AlignmentError(
-            f"hypotheses and references are not aligned: "
-            f"{len(hyps)} lines vs {len(refs)} lines"
-        )
+    check_aligned(hyp=hyps, ref=refs)
     if not hyps:
         raise EmptyInputError("cannot score an empty corpus")
 

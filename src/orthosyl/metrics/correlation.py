@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..errors import AlignmentError, ParameterError, UndefinedCorrelationError
+from ..errors import ParameterError, UndefinedCorrelationError, check_aligned
 from .lcs import lcsr
 
 
@@ -46,15 +46,7 @@ def similarity_correlation(
     is lcsr(hyp_i, ref_i), both at character level; the result is the
     Pearson correlation over all indices.
     """
-    lengths = {
-        "src": len(src_lines),
-        "tgt": len(tgt_lines),
-        "hyp": len(hyp_lines),
-        "ref": len(ref_lines),
-    }
-    if len(set(lengths.values())) != 1:
-        detail = ", ".join(f"{k}: {v} lines" for k, v in lengths.items())
-        raise AlignmentError(f"the four files are not aligned ({detail})")
+    check_aligned(src=src_lines, tgt=tgt_lines, hyp=hyp_lines, ref=ref_lines)
     xs = [lcsr(s, t) for s, t in zip(src_lines, tgt_lines)]
     ys = [lcsr(h, r) for h, r in zip(hyp_lines, ref_lines)]
     return pearson(xs, ys)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..errors import AlignmentError, EmptyInputError
+from ..errors import EmptyInputError, check_aligned
 from .kernels import edit_distance, lcs_length
 
 
@@ -36,8 +36,5 @@ def corpus_lcsr(pairs: Iterable[tuple[str, str]]) -> float:
 
 def aligned_pairs(a_lines: Sequence[str], b_lines: Sequence[str]) -> list[tuple[str, str]]:
     """Zip two corpora, failing loudly on mismatched line counts."""
-    if len(a_lines) != len(b_lines):
-        raise AlignmentError(
-            f"corpora are not aligned: {len(a_lines)} lines vs {len(b_lines)} lines"
-        )
+    check_aligned(a=a_lines, b=b_lines)
     return list(zip(a_lines, b_lines))

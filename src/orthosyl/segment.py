@@ -20,6 +20,7 @@ from .errors import (
     MarkerCollisionError,
     OrthosylError,
     ParameterError,
+    attach_line,
     raise_at_line,
 )
 from .scripts import ScriptId
@@ -139,11 +140,9 @@ class MorphLexicon:
             if not line:
                 continue
             word, sep, rest = line.partition("\t")
-            if not sep:
-                raise LexiconFormatError(
-                    f"line {lineno}: expected 'word TAB segments', got {line!r}"
-                )
             try:
+                if not sep:
+                    raise LexiconFormatError(f"expected 'word TAB segments', got {line!r}")
                 lexicon.add(word, rest.split())
             except LexiconFormatError as exc:
                 raise_at_line(exc, lineno)
@@ -316,5 +315,5 @@ def segment_corpus(
             if not skip_errors:
                 raise_at_line(exc, lineno)
             if error_sink is not None:
-                print(f"line {lineno}: {exc}", file=error_sink)
+                print(attach_line(exc, lineno), file=error_sink)
             yield line

@@ -104,6 +104,24 @@ _KIND_OF_FIRST = {
 # Enum member lookup
 _UNSUPPORTED = ScriptId.UNSUPPORTED
 
+# Why a script is refused, by the flag of the family that a scanner takes
+_NOT_OF_FAMILY = {
+    "is_abugida": "is not an abugida script; use syllabify_alpha",
+    "is_alphabetic": "is not an alphabetic script; use syllabify_indic",
+}
+
+
+def _checked_word(word: str, script: ScriptId | None, family: str | None = None) -> str:
+    """The syllabifier's input checks, in order: a nonempty word, a script with a
+    table (unless None), of the `family` flag (unless None). Returns the word in NFC."""
+    if not word:
+        raise EmptyInputError("cannot syllabify an empty word")
+    if script is not None:
+        get_table(script)  # validate support
+        if family is not None and not getattr(script, family):
+            raise UnsupportedScriptError(f"{script.value} {_NOT_OF_FAMILY[family]}")
+    return unicodedata.normalize("NFC", word)
+
 
 def _units(word: str, matches: list[str], core: str) -> list[OrthoSyllable]:
     """Slice `word` by the lengths of its class-letter matches; a unit that
@@ -139,14 +157,7 @@ def syllabify_indic(word: str, script: ScriptId) -> list[OrthoSyllable]:
     starts with anusvara/chandrabindu, else ConsonantCore if it holds a
     consonant, else IndependentVowel if it starts with one, else Other.
     """
-    if not word:
-        raise EmptyInputError("cannot syllabify an empty word")
-    get_table(script)  # validate support
-    if not script.is_abugida:
-        raise UnsupportedScriptError(
-            f"{script.value} is not an abugida script; use syllabify_alpha"
-        )
-    word = unicodedata.normalize("NFC", word)
+    word = _checked_word(word, script, "is_abugida")
     classes = word.translate(_CLASS_LETTERS[script])
     return _units(word, _INDIC_UNIT.findall(classes), "CP")
 
@@ -170,14 +181,7 @@ def syllabify_alpha(
     A unit's kind is IndependentVowel if it starts with a vowel, else
     ConsonantCore if it holds a vowel or consonant, else Other.
     """
-    if not word:
-        raise EmptyInputError("cannot syllabify an empty word")
-    get_table(script)  # validate support
-    if not script.is_alphabetic:
-        raise UnsupportedScriptError(
-            f"{script.value} is not an alphabetic script; use syllabify_indic"
-        )
-    word = unicodedata.normalize("NFC", word)
+    word = _checked_word(word, script, "is_alphabetic")
     classes = word.translate(_CLASS_LETTERS[script])
     if vowels is not None:
         classes = "".join(
@@ -196,28 +200,18 @@ def syllabify(word: str, script: ScriptId | None = None) -> list[OrthoSyllable]:
     With a forced script, words whose letters fall outside that script are
     returned whole as a single Other unit.
     """
-    if not word:
-        raise EmptyInputError("cannot syllabify an empty word")
-    word = unicodedata.normalize("NFC", word)
+    word = _checked_word(word, script)
     if script is None:
-        detected = detect_script(word)
-        if detected is _UNSUPPORTED:
+        script = detect_script(word)
+        if script is _UNSUPPORTED:
             return [OrthoSyllable(word, OSKind.OTHER)]
-        script = detected
     else:
-        get_table(script)  # validate support
-        detected = _detect_or_none(word)
+        try:
+            detected = detect_script(word)
+        except MixedScriptError:
+            detected = None
         if detected is not script:
             return [OrthoSyllable(word, OSKind.OTHER)]
     if script.is_abugida:
         return syllabify_indic(word, script)
     return syllabify_alpha(word, script)
-
-
-def _detect_or_none(word: str) -> ScriptId | None:
-    """detect_script, with mixed-script words mapped to None (forced mode)."""
-    try:
-        detected = detect_script(word)
-    except MixedScriptError:
-        return None
-    return None if detected is _UNSUPPORTED else detected

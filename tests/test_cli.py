@@ -1,6 +1,7 @@
 """CLI subcommands: behavior, exit codes, stdout/stderr separation."""
 
 import io
+import re
 import subprocess
 import sys
 import unicodedata
@@ -467,3 +468,93 @@ def test_round_trip_over_markers(marker, line, unit):
     status, restored = invoke(["desegment", f"--marker={marker}"], segmented)
     assert status == 0
     assert restored == " ".join(line.split()) + "\n"
+
+
+def _files(tmp_path, **texts):
+    """Write each text to tmp_path/NAME and return the paths by name."""
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    return {name: str(path) for name, path in paths.items()}
+
+
+# (argv, stdin, files, N): argv names files as {NAME}; line N of the input
+# that the error comes from is the one the message must name.
+PER_LINE_ERRORS = {
+    "segment": (["segment", "--unit", "char"], "ok\nbad_word\n", {}, 2),
+    "desegment": (["desegment"], "a _ b\na _ _ b\n", {}, 2),
+    "syllabify": (["syllabify"], "ok\nघरmix\n", {}, 2),
+    "stats": (["stats", "--unit", "os"], "ok\nFacebookपर\n", {}, 2),
+    "lexicon missing TAB": (["segment", "--unit", "morph", "--morph-lexicon", "{lex}"], "x\n",
+                            {"lex": "ab\ta b\n\nabc\n"}, 3),
+    "lexicon segments": (["segment", "--unit", "morph", "--morph-lexicon", "{lex}"], "x\n",
+                         {"lex": "ab\ta b\nabc\ta c\n"}, 2),
+    "nbest fields": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
+                     {"nbest": "0 ||| a ||| f ||| 1\n0 ||| a ||| f\n", "ref": "a\n"}, 2),
+    "nbest number": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
+                     {"nbest": "0 ||| a ||| f ||| 1\n\n0 ||| a ||| f ||| x\n", "ref": "a\n"}, 3),
+    "nbest order": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
+                    {"nbest": "1 ||| a ||| f ||| 1\n0 ||| a ||| f ||| 1\n", "ref": "a\nb\n"}, 2),
+    "rescore reference": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
+                          {"nbest": "0 ||| a ||| f ||| 1\n\n1 ||| a ||| f ||| 1\n", "ref": "a\n"}, 3),
+    "rescore markers": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
+                        {"nbest": "0 ||| a ||| f ||| 1\n0 ||| a _ _ b ||| f ||| 1\n",
+                         "ref": "a\n"}, 2),
+}
+
+
+def _per_line_error(case, tmp_path, capsys, extra=()):
+    argv, stdin_text, texts, lineno = PER_LINE_ERRORS[case]
+    paths = _files(tmp_path, **texts)
+    argv = [arg.format(**paths) for arg in argv] + list(extra)
+    status, out = invoke(argv, stdin_text)
+    return status, out, capsys.readouterr().err, lineno
+
+
+@pytest.mark.parametrize("case", PER_LINE_ERRORS)
+def test_per_line_error_names_its_line_once(case, tmp_path, capsys):
+    status, out, err, lineno = _per_line_error(case, tmp_path, capsys)
+    command = PER_LINE_ERRORS[case][0][0]
+    assert status == 1
+    assert out.count("\n") < lineno  # line-streaming commands write the lines before it
+    assert err.startswith(f"orthosyl {command}: error: line {lineno}: ") and err.endswith("\n")
+    assert err.count("\n") == 1
+    assert re.findall(r"line \d+: ", err) == [f"line {lineno}: "], err
+
+
+def test_skip_errors_reports_the_same_line_and_passes_it_through(tmp_path, capsys):
+    _, _, failed, lineno = _per_line_error("segment", tmp_path, capsys)
+    status, out, err, _ = _per_line_error("segment", tmp_path, capsys, ["--skip-errors"])
+    assert status == 0
+    assert out == "o k\nbad_word\n"
+    assert err == failed.removeprefix("orthosyl segment: error: ")
+    assert re.findall(r"line \d+: ", err) == [f"line {lineno}: "]
+
+
+@pytest.mark.parametrize("argv,short,message", [
+    (["lcsr", "--a", "{long}", "--b", "{short}"], "b",
+     "a, b are not aligned: 3 lines vs 2 lines"),
+    (["correlate", "--src", "{long}", "--tgt", "{long}", "--hyp", "{short}", "--ref", "{long}"],
+     "hyp", "src, tgt, hyp, ref are not aligned: 3 lines vs 3 lines vs 2 lines vs 3 lines"),
+    (["score", "--metric", "bleu", "--hyp", "{short}", "--ref", "{long}"], "hyp",
+     "hyp, ref are not aligned: 2 lines vs 3 lines"),
+    (["score", "--metric", "lebleu", "--hyp", "{long}", "--ref", "{short}"], "ref",
+     "hyp, ref are not aligned: 3 lines vs 2 lines"),
+])
+def test_misaligned_files_name_every_input_and_count(argv, short, message, tmp_path, capsys):
+    paths = _files(tmp_path, long="a b\nc d\ne f\n", short="a b\nc d\n")
+    status, out = invoke([arg.format(**paths) for arg in argv])
+    assert status == 1
+    assert out == ""
+    assert capsys.readouterr().err == f"orthosyl {argv[0]}: error: {message}\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(file_lines_st)
+def test_word_scheme_prints_the_sentence_with_whitespace_normalized(line):
+    # the word scheme has no markers to desegment: its output is the sentence
+    assume("_" not in line)
+    status, out = invoke(["segment", "--unit", "word"], line + "\n")
+    assert status == 0
+    assert out == " ".join(line.split()) + "\n"

@@ -193,6 +193,14 @@ class TestMorphLexicon:
         path.write_bytes(b"\xef\xbb\xbfab\ta b\r\n")
         assert MorphLexicon.load(str(path)).get("ab") == ("a", "b")
 
+    def test_load_missing_tab_error_carries_lineno(self, tmp_path):
+        path = tmp_path / "morphs.tsv"
+        path.write_text("ab\ta b\n\nabc\n", encoding="utf-8")
+        with pytest.raises(LexiconFormatError) as info:
+            MorphLexicon.load(str(path))
+        assert info.value.lineno == 3
+        assert str(info.value) == "line 3: expected 'word TAB segments', got 'abc'"
+
 
 class TestTokenize:
     def test_marathi_sentence(self):

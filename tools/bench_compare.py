@@ -15,7 +15,10 @@ alternating which of the two goes first, and (re)writes BENCH_NAME.json in
 the current directory after every pair. Per end-to-end metric of
 BENCHMARK.json the file holds both sides' raw and scaled medians,
 quartiles and IQR / median, the change / parent ratio of the scaled
-medians, and how many pairs each side won. Per side it adds up the
+medians, how many pairs each side won, and two flags against the metric's
+`bound`: `regressed` (the change's scaled median is worse than the
+parent's by more than the bound) and `unresolved` (the parent's IQR /
+median exceeds the bound, so the runs spread too widely to tell). Per side it adds up the
 checks attempted and failed and counts the runs that exited non-zero,
 whose pairs are left out of the summaries. It also keeps every run's
 figures, the seeds and the two revisions (a checkout's `git rev-parse
@@ -87,6 +90,7 @@ def collate(pairs: list[dict], metrics: list[dict]) -> dict:
     `sides` adds up each side's `attempted` and `failed` checks. A run that
     exited non-zero drops its pair from the metric summaries, and its
     side's `pairs_dropped` counts it. A tie counts as a win for neither side.
+    A metric without a `bound` gets None for `regressed` and `unresolved`.
     """
     ok = [p for p in pairs if all(p[s]["exit"] == 0 for s in SIDES)]
     sides = {
@@ -114,6 +118,12 @@ def collate(pairs: list[dict], metrics: list[dict]) -> dict:
         entry["change_wins"] = sum(c != p and (c > p) == higher for p, c in values)
         entry["parent_wins"] = sum(c != p and (p > c) == higher for p, c in values)
         entry["pairs"] = len(ok)
+        entry["regressed"] = entry["unresolved"] = None
+        bound = metric.get("bound")
+        if bound is not None and parent and change:
+            worse = (parent["median"] - change["median"]) * (1 if higher else -1)
+            entry["regressed"] = worse > bound * parent["median"]
+            entry["unresolved"] = (parent["iqr_over_median"] or 0.0) > bound
         out[name] = entry
     return {"sides": sides, "metrics": out}
 
@@ -156,6 +166,10 @@ def main() -> int:
             failed = {s: pair[s].get("failed", f"exit {pair[s]['exit']}") for s in SIDES}
             print(f"{workload} seed {seed}: segment parent {seg['parent']} change {seg['change']}"
                   f", failed parent {failed['parent']} change {failed['change']}", flush=True)
+        flagged = {flag: [name for name, m in bench["workloads"][workload]["metrics"].items()
+                          if m[flag]] for flag in ("regressed", "unresolved")}
+        print(f"{workload}: regressed {flagged['regressed']}, unresolved {flagged['unresolved']}",
+              flush=True)
     return 0
 
 
