@@ -220,6 +220,9 @@ def _cmd_score(args, stdin):
         lines += [
             f"precision_{i + 1} = {p:.6f}" for i, p in enumerate(report.precisions)
         ]
+        # one format for both metrics: Le-BLEU's matched mass is a float
+        lines += [f"matched_{i + 1} = {m:.6f}" for i, m in enumerate(report.matched)]
+        lines += [f"total_{i + 1} = {t}" for i, t in enumerate(report.total)]
         if args.metric == "lebleu":
             lines.append(f"delta = {delta}")
         corpus_io.write_corpus(lines, args.report)

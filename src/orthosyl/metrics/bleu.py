@@ -6,10 +6,16 @@ their references. A smoothed sentence-level variant (add-one on the
 precisions of orders >= 2) is provided for n-best rescoring, where the
 unsmoothed score is almost always zero.
 
-One counting path serves all three BLEU variants: `bleu` and
-`sentence_bleu_smoothed` take clipped counts from `_clipped_matches`, and
-`bleu` and Le-BLEU (`lebleu.lebleu_report`) pool per-line matches into a
-report through `_corpus_report`.
+One counting path serves all three BLEU variants. `_ngram_counts` counts
+the n-grams of every order 1..top of a line in one Counter, and
+`_clipped_matches` walks the hypothesis Counter once, clipping each n-gram
+to its reference count and adding it to the slot of its order. `bleu` and
+`sentence_bleu_smoothed` take their clipped counts from it; `bleu` and
+Le-BLEU (`lebleu.lebleu_report`) pool per-line matches into a report
+through `_corpus_report`. `sentence_bleu_smoothed` keeps the counts of
+the last reference it saw (`_reference_counts`), so the consecutive
+entries of an n-best list that share a sentence id count their reference
+once; the cached Counter is only read.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from ..errors import EmptyInputError, ParameterError, check_aligned
@@ -24,17 +31,27 @@ from ..errors import EmptyInputError, ParameterError, check_aligned
 
 @dataclass(frozen=True)
 class BleuReport:
-    """Per-order modified precisions plus the composite score."""
+    """Per-order modified precisions plus the composite score.
+
+    `matched[n - 1]` and `total[n - 1]` are the corpus's pooled order-n
+    matched count (fuzzy mass for Le-BLEU) and hypothesis n-gram count,
+    the numerator and denominator of `precisions[n - 1]`.
+    """
 
     precisions: tuple[float, ...]
     brevity_penalty: float
     score: float
     hyp_length: int
     ref_length: int
+    matched: tuple[float, ...]
+    total: tuple[int, ...]
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str], top: int) -> Counter:
+    """One Counter over the n-grams (as tuples) of every order 1..top."""
+    return Counter([
+        tuple(tokens[i:i + n]) for n in range(1, top + 1) for i in range(len(tokens) - n + 1)
+    ])
 
 
 def _tokenize(line: str) -> list[str]:
@@ -73,10 +90,16 @@ def combine_precisions(
     return bp * math.exp(log_mean) * 100.0
 
 
-def _clipped_matches(hyp: Sequence[str], ref: Sequence[str], n: int) -> int:
-    """Hypothesis n-grams matched in the reference, each clipped to its ref count."""
-    ref_counts = _ngrams(ref, n)
-    return sum(min(count, ref_counts[gram]) for gram, count in _ngrams(hyp, n).items())
+def _clipped_matches(hyp: Counter, ref_counts: Counter, top: int) -> list[int]:
+    """Per order 1..top, hypothesis n-grams matched in the reference, each
+    clipped to its reference count. Reads `ref_counts` without inserting."""
+    matched = [0] * top
+    ref_get = ref_counts.get
+    for gram, count in hyp.items():
+        ref_count = ref_get(gram)
+        if ref_count:
+            matched[len(gram) - 1] += min(count, ref_count)
+    return matched
 
 
 def _corpus_report(
@@ -110,14 +133,20 @@ def _corpus_report(
     )
     bp = brevity_penalty(hyp_len, ref_len)
     score = combine_precisions(precisions, bp)
-    return BleuReport(precisions, bp, score, hyp_len, ref_len)
+    return BleuReport(precisions, bp, score, hyp_len, ref_len, tuple(matched), tuple(total))
 
 
 def bleu(hyps: Sequence[str], refs: Sequence[str], max_n: int = 4) -> BleuReport:
     """Corpus BLEU of whitespace-tokenized hypothesis/reference lines."""
-    return _corpus_report(hyps, refs, max_n, lambda hyp, ref, top: (
-        _clipped_matches(hyp, ref, n) for n in range(1, top + 1)
+    return _corpus_report(hyps, refs, max_n, lambda hyp, ref, top: _clipped_matches(
+        _ngram_counts(hyp, top), _ngram_counts(ref, top), top
     ))
+
+
+@lru_cache(maxsize=1)
+def _reference_counts(ref_tokens: tuple[str, ...], max_n: int) -> Counter:
+    """`_ngram_counts` of the last reference scored; callers must not mutate it."""
+    return _ngram_counts(ref_tokens, max_n)
 
 
 def sentence_bleu_smoothed(
@@ -125,10 +154,12 @@ def sentence_bleu_smoothed(
 ) -> float:
     """Sentence-level BLEU with add-one smoothing on orders >= 2."""
     check_max_n(max_n)
+    matches = _clipped_matches(
+        _ngram_counts(hyp_tokens, max_n), _reference_counts(tuple(ref_tokens), max_n), max_n
+    )
     precisions: list[float] = []
-    for n in range(1, max_n + 1):
+    for n, matched in enumerate(matches, start=1):
         total = max(len(hyp_tokens) - n + 1, 0)
-        matched = _clipped_matches(hyp_tokens, ref_tokens, n)
         if n == 1:
             precisions.append(matched / total if total else 0.0)
         else:

@@ -50,7 +50,7 @@ def bleu(hyps: Sequence[str], refs: Sequence[str], max_n: int = 4) -> BleuReport
     )
     bp = brevity_penalty(hyp_len, ref_len)
     score = combine_precisions(precisions, bp)
-    return BleuReport(precisions, bp, score, hyp_len, ref_len)
+    return BleuReport(precisions, bp, score, hyp_len, ref_len, tuple(matched), tuple(total))
 
 
 def sentence_bleu_smoothed(

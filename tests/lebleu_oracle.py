@@ -99,4 +99,4 @@ def lebleu_report(
     )
     bp = brevity_penalty(hyp_len, ref_len)
     score = combine_precisions(precisions, bp)
-    return BleuReport(precisions, bp, score, hyp_len, ref_len)
+    return BleuReport(precisions, bp, score, hyp_len, ref_len, tuple(matched), tuple(total))

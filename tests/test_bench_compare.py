@@ -83,3 +83,17 @@ def test_no_bound_no_flags():
     pairs = [{"parent": run(1.0, 0.2), "change": run(0.1, 2.0)}]
     metrics = bench_compare.collate(pairs, METRICS)["metrics"]
     assert all(m["regressed"] is None and m["unresolved"] is None for m in metrics.values())
+
+
+def test_progress_line_gives_every_metric_ratio():
+    pair = {"seed": 7, "parent": run(2.0, 0.2), "change": run(3.0, 0.1, failed=1)}
+    assert bench_compare.progress_line("hindi", pair, METRICS) == (
+        "hindi seed 7: change/parent segment_mchar_s 1.500, setup_s 0.500"
+        "; failed parent 0 change 1")
+
+
+def test_progress_line_marks_a_failed_run():
+    pair = {"seed": 8, "parent": {"exit": 1, "stderr": "boom"}, "change": run(3.0, 0.1)}
+    assert bench_compare.progress_line("multiscript", pair, METRICS) == (
+        "multiscript seed 8: change/parent segment_mchar_s n/a, setup_s n/a"
+        "; failed parent exit 1 change 0")

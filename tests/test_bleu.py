@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import bleu_oracle
 from orthosyl.errors import AlignmentError, EmptyInputError, OrthosylError, ParameterError
 from orthosyl.metrics import bleu, sentence_bleu_smoothed
+from orthosyl.metrics.bleu import _ngram_counts, _reference_counts
 
 
 def test_identical_corpora_score_100():
@@ -110,12 +111,15 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-tokens = st.lists(st.sampled_from(["a", "b", "c", "ab"]), max_size=8)
+# short lines over four tokens, and long ones over two, where n-grams of
+# orders 3-6 repeat and clipping above 1 happens
+tokens = (st.lists(st.sampled_from(["a", "b", "c", "ab"]), max_size=8)
+          | st.lists(st.sampled_from(["a", "b"]), max_size=40))
 
 
 @st.composite
 def corpora(draw):
-    """Line pairs of 0-8 tokens; one draw in three drops or adds a reference."""
+    """Line pairs of 0-40 tokens; one draw in three drops or adds a reference."""
     pairs = draw(st.lists(st.tuples(tokens, tokens), max_size=5))
     hyps = [" ".join(h) for h, _ in pairs]
     refs = [" ".join(r) for _, r in pairs]
@@ -140,6 +144,19 @@ def test_sentence_bleu_equals_oracle(hyp, ref, max_n):
     assert outcome(sentence_bleu_smoothed, hyp, ref, max_n) == outcome(
         bleu_oracle.sentence_bleu_smoothed, hyp, ref, max_n
     )
+
+
+def test_cached_reference_counts_are_not_mutated():
+    # B has n-grams the reference lacks; scoring it between two scorings of A
+    # against the same (cached) reference must leave A's score unchanged
+    ref = "a b a b c a".split()
+    hyp_a = "a b a x".split()
+    hyp_b = "x c a b a b a b c y".split()
+    first = sentence_bleu_smoothed(hyp_a, ref)
+    sentence_bleu_smoothed(hyp_b, ref)
+    assert sentence_bleu_smoothed(hyp_a, ref) == first
+    assert first == bleu_oracle.sentence_bleu_smoothed(hyp_a, ref)
+    assert dict(_reference_counts(tuple(ref), 4)) == dict(_ngram_counts(ref, 4))
 
 
 class TestSentenceSmoothed:

@@ -173,6 +173,25 @@ class TestMetricsCommands:
         assert "precision_1 = " in text
         assert "delta = 0.6" in text
 
+    def test_bleu_report_equals_lebleu_delta1_report(self, tmp_path):
+        hyp = tmp_path / "h.txt"
+        ref = tmp_path / "r.txt"
+        hyp.write_text("a b a b c\nc a\n", encoding="utf-8")
+        ref.write_text("a b a c\nc a b\n", encoding="utf-8")
+        reports = {}
+        for metric in ("bleu", "lebleu"):
+            path = tmp_path / f"{metric}.txt"
+            extra = ["--delta", "1"] if metric == "lebleu" else []
+            status, _ = invoke(["score", "--metric", metric, *extra, "--hyp", str(hyp),
+                                "--ref", str(ref), "--report", str(path)])
+            assert status == 0
+            lines = path.read_text(encoding="utf-8").splitlines()
+            reports[metric] = [x for x in lines if not x.startswith(("metric ", "delta "))]
+        assert reports["bleu"] == reports["lebleu"]
+        assert "matched_1 = 6.000000" in reports["bleu"]
+        assert "total_1 = 7" in reports["bleu"]
+        assert "total_2 = 5" in reports["bleu"]
+
     def test_score_bleu_rejects_delta(self, tmp_path):
         hyp = tmp_path / "h.txt"
         hyp.write_text("a b\n", encoding="utf-8")

@@ -1,9 +1,12 @@
 """N-best list parsing, formatting and word-level rescoring."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import bleu_oracle
 from orthosyl.errors import AlignmentError, MalformedStreamError
 from orthosyl.metrics import parse_nbest, rescore_nbest
+from orthosyl.metrics.nbest import NBestEntry, NBestList
 
 NBEST_LINES = [
     "0 ||| रा जू _ न को ||| lm=-3.2 tm=-1.1 ||| -4.3",
@@ -108,3 +111,35 @@ def test_malformed_marker_stream_names_its_nbest_line():
         rescore_nbest(nbest, ["a b"])
     assert info.value.lineno == 2
     assert str(info.value) == "line 2: two consecutive boundary markers"
+
+
+words = st.lists(st.sampled_from(["a", "b", "ab"]), max_size=12)
+
+
+@st.composite
+def nbest_with_refs(draw):
+    """Entries in nondecreasing id order that repeat and skip ids, against
+    references drawn from at most two texts, so ids share a reference text.
+    Each entry's tokens are its hypothesis words joined by markers."""
+    texts = draw(st.lists(words.map(" ".join), min_size=1, max_size=2))
+    refs = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=5))
+    ids = sorted(draw(st.lists(st.integers(0, len(refs) - 1), max_size=15)))
+    hyps = [draw(words) for _ in ids]
+    entries = tuple(
+        NBestEntry(sentence_id=i, tokens=tuple(" _ ".join(hyp).split()),
+                   features="f", model_score=0.0)
+        for i, hyp in zip(ids, hyps)
+    )
+    return NBestList(entries), refs, hyps
+
+
+@settings(max_examples=300, deadline=None)
+@given(nbest_with_refs(), st.integers(1, 6))
+def test_rescore_equals_per_entry_oracle(case, max_n):
+    nbest, refs, hyps = case
+    got = [e.word_bleu for e in rescore_nbest(nbest, refs, max_n=max_n).entries]
+    want = [
+        bleu_oracle.sentence_bleu_smoothed(hyp, refs[e.sentence_id].split(), max_n)
+        for e, hyp in zip(nbest.entries, hyps)
+    ]
+    assert got == want

@@ -12,7 +12,8 @@ workload and seed it runs, in each checkout and one after the other,
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 alternating which of the two goes first, and (re)writes BENCH_NAME.json in
-the current directory after every pair. Per end-to-end metric of
+the current directory after every pair, printing that pair's change /
+parent ratio of every end-to-end metric. Per end-to-end metric of
 BENCHMARK.json the file holds both sides' raw and scaled medians,
 quartiles and IQR / median, the change / parent ratio of the scaled
 medians, how many pairs each side won, and two flags against the metric's
@@ -128,6 +129,24 @@ def collate(pairs: list[dict], metrics: list[dict]) -> dict:
     return {"sides": sides, "metrics": out}
 
 
+def progress_line(workload: str, pair: dict, metrics: list[dict]) -> str:
+    """One pair's change / parent ratio of every end-to-end metric, and its failed checks.
+
+    A ratio reads n/a where either side has no figure for the metric (a run
+    that exited non-zero, or a zero parent figure).
+    """
+    scaled = {s: pair[s].get("scaled", {}) for s in SIDES}
+    ratios = []
+    for metric in metrics:
+        name = metric["name"]
+        parent, change = scaled["parent"].get(name), scaled["change"].get(name)
+        ratio = f"{change / parent:.3f}" if parent and change is not None else "n/a"
+        ratios.append(f"{name} {ratio}")
+    failed = {s: pair[s].get("failed", f"exit {pair[s]['exit']}") for s in SIDES}
+    return (f"{workload} seed {pair['seed']}: change/parent {', '.join(ratios)}"
+            f"; failed parent {failed['parent']} change {failed['change']}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -162,10 +181,7 @@ def main() -> int:
             pairs.append(pair)
             bench["workloads"][workload] = {**collate(pairs, metrics), "pairs": pairs}
             out_path.write_text(json.dumps(bench, indent=1) + "\n")
-            seg = {s: pair[s].get("scaled", {}).get("segment_mchar_s") for s in SIDES}
-            failed = {s: pair[s].get("failed", f"exit {pair[s]['exit']}") for s in SIDES}
-            print(f"{workload} seed {seed}: segment parent {seg['parent']} change {seg['change']}"
-                  f", failed parent {failed['parent']} change {failed['change']}", flush=True)
+            print(progress_line(workload, pair, metrics), flush=True)
         flagged = {flag: [name for name, m in bench["workloads"][workload]["metrics"].items()
                           if m[flag]] for flag in ("regressed", "unresolved")}
         print(f"{workload}: regressed {flagged['regressed']}, unresolved {flagged['unresolved']}",
