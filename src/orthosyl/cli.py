@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(--unit word output already is the sentence)")
     _add_marker_flag(p)
 
-    p = sub.add_parser("syllabify", help="orthographic syllables, one word per line")
+    p = sub.add_parser("syllabify", help="each line's words -> space-joined syllables")
     p.add_argument("--script", default="auto", type=_script_or_auto,
                    help="|".join(_SCRIPT_NAMES) + "|auto")
 

@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import random
 import unicodedata
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .errors import CorpusDecodeError, DegenerateCorpusError, SplitSizeError, map_lines
+from .errors import (
+    CorpusDecodeError,
+    DegenerateCorpusError,
+    OrthosylError,
+    SplitSizeError,
+    raise_at_line,
+)
 from .scripts import ScriptId
 from .segment import MorphLexicon, UnitScheme, segment_word
 
@@ -124,14 +130,27 @@ def vocab_stats(
 ) -> VocabStats:
     """Segment every word of the corpus and count the resulting units.
 
-    Boundary markers are never counted (segment_word emits none). A word
-    that cannot be segmented raises its OrthosylError with the 1-based line
-    number attached, as in segment_corpus.
+    `lines` is read once, counting words; then each distinct word is
+    segmented once (one segment_word call per distinct word, not per
+    token) and its count is added to each of its units. The state held is
+    the word counts plus one int per line. Boundary markers are never
+    counted (segment_word emits none). A word that cannot be segmented
+    raises its OrthosylError with the 1-based number of the first line it
+    occurs on, as in segment_corpus.
     """
-    def line_units(line: str) -> list[str]:
-        return [u for word in line.split() for u in segment_word(word, scheme, morphs, script)]
-
-    counts = Counter(chain.from_iterable(map_lines(line_units, lines)))
+    words: Counter[str] = Counter()
+    seen: list[int] = []  # distinct words seen up to and including each line
+    for line in lines:
+        words.update(line.split())
+        seen.append(len(words))
+    counts: dict[str, int] = {}
+    for k, (word, n) in enumerate(words.items()):  # first-occurrence order
+        try:
+            units = segment_word(word, scheme, morphs, script)
+        except OrthosylError as exc:
+            raise_at_line(exc, bisect_right(seen, k) + 1)
+        for unit in units:
+            counts[unit] = counts.get(unit, 0) + n
     token_count = sum(counts.values())
     type_cp = sum(len(unit) for unit in counts)
     mean_len = (type_cp / len(counts)) if counts else 0.0

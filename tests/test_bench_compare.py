@@ -97,3 +97,55 @@ def test_progress_line_marks_a_failed_run():
     assert bench_compare.progress_line("multiscript", pair, METRICS) == (
         "multiscript seed 8: change/parent segment_mchar_s n/a, setup_s n/a"
         "; failed parent exit 1 change 0")
+
+
+def test_unresolved_clears_when_every_change_run_is_better():
+    # parent segment spreads as above, but every change run beats every parent run
+    pairs = [{"parent": run(seg, 0.2), "change": run(1.4, 0.2)} for seg in (0.7, 0.9, 1.1, 1.3)]
+    assert flags(pairs)["segment_mchar_s"] == (False, False)
+    pairs = [{"parent": run(seg, 0.2), "change": run(1.3, 0.2)} for seg in (0.7, 0.9, 1.1, 1.3)]
+    assert flags(pairs)["segment_mchar_s"] == (False, True)
+
+
+def gained(pairs):
+    return bench_compare.collate(pairs, METRICS)["metrics"]["segment_mchar_s"]["gained"]
+
+
+PARENT_SEGMENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+def test_gained_with_nine_of_ten_wins():
+    changes = [1.5] * 9 + [0.9]
+    pairs = [{"parent": run(p, 0.2), "change": run(c, 0.2)}
+             for p, c in zip(PARENT_SEGMENT, changes)]
+    assert gained(pairs)
+    # fewer than ten pairs never make a claim, even when all are won
+    assert not gained(pairs[:9])
+
+
+def test_not_gained_with_eight_of_ten_wins():
+    changes = [1.5] * 8 + [0.9, 1.08]  # a loss and a tie
+    pairs = [{"parent": run(p, 0.2), "change": run(c, 0.2)}
+             for p, c in zip(PARENT_SEGMENT, changes)]
+    assert not gained(pairs)
+
+
+def test_not_gained_when_the_gap_is_within_the_parents_quartiles():
+    # the change wins every pair, but by 0.01 against a parent q3 - q1 of 0.045
+    pairs = [{"parent": run(p, 0.2), "change": run(p + 0.01, 0.2)} for p in PARENT_SEGMENT]
+    assert bench_compare.collate(pairs, METRICS)["metrics"]["segment_mchar_s"]["change_wins"] == 10
+    assert not gained(pairs)
+
+
+def test_dropped_pairs_stay_in_the_denominator():
+    won = [{"parent": run(p, 0.2), "change": run(1.5, 0.2)} for p in PARENT_SEGMENT[:9]]
+    dropped = {"parent": run(1.0, 0.2), "change": {"exit": 1, "stderr": "boom"}}
+    assert gained(won + [dropped])  # 9 of 10
+    assert not gained(won + [dropped, dropped])  # 9 of 11, though 9 of the 9 summarised
+
+
+def test_compile_sources_writes_bytecode(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("X = 1\n")
+    bench_compare.compile_sources(tmp_path)  # perfbench/ and tests/ may be absent
+    assert list((tmp_path / "src" / "__pycache__").glob("m.*.pyc"))

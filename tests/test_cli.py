@@ -261,6 +261,14 @@ class TestStatsSplit:
             "word 'Facebookपर' mixes Latin and Devanagari letters\n"
         )
 
+    def test_stats_error_names_the_first_line_of_a_repeated_word(self):
+        proc = invoke_process(["stats", "--unit", "os"], "ok\nok Facebookपर\nFacebookपर\n")
+        assert_one_line_error(proc, "stats")
+        assert proc.stderr == (
+            "orthosyl stats: error: line 2: "
+            "word 'Facebookपर' mixes Latin and Devanagari letters\n"
+        )
+
     def test_split_writes_three_files(self, tmp_path):
         prefix = tmp_path / "corpus"
         body = "".join(f"line {i}\n" for i in range(10))

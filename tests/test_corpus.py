@@ -1,11 +1,14 @@
 """Corpus loading/writing, splitting, and unit-vocabulary statistics."""
 
 import io
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
 from orthosyl.corpus import (
+    VocabStats,
     load_corpus,
     split_corpus,
     unit_ratio,
@@ -16,9 +19,12 @@ from orthosyl.errors import (
     CorpusDecodeError,
     DegenerateCorpusError,
     MixedScriptError,
+    OrthosylError,
     SplitSizeError,
+    map_lines,
 )
-from orthosyl.segment import MorphLexicon, UnitScheme
+from orthosyl.scripts import ScriptId
+from orthosyl.segment import MorphLexicon, UnitScheme, segment_word
 
 
 class TestLoad:
@@ -191,6 +197,52 @@ class TestVocabStats:
         assert str(info.value) == (
             "line 2: word 'Facebookपर' mixes Latin and Devanagari letters"
         )
+
+
+def per_token_vocab_stats(lines, scheme, morphs=None, script=None):
+    """Oracle: segment every word token in corpus order and count its units."""
+    def line_units(line):
+        return [u for word in line.split() for u in segment_word(word, scheme, morphs, script)]
+
+    counts = Counter(chain.from_iterable(map_lines(line_units, lines)))
+    type_cp = sum(len(unit) for unit in counts)
+    return VocabStats(
+        scheme=scheme,
+        type_count=len(counts),
+        token_count=sum(counts.values()),
+        mean_unit_length=(type_cp / len(counts)) if counts else 0.0,
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the type, message and line number of its OrthosylError."""
+    try:
+        return fn(*args)
+    except OrthosylError as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+
+
+# a small vocabulary, so words repeat within and across lines; the
+# mixed-script word fails under --unit os unless a script is given
+ORACLE_WORDS = ["एक", "घरासमोरचा", "क्षत्रिय", "ab", "Straße", "Facebookपर", "।"]
+ORACLE_LEXICON = MorphLexicon({"घरासमोरचा": ["घरा", "समोर", "चा"], "ab": ["a", "b"]})
+
+
+class TestVocabStatsOracle:
+    @given(
+        lines=st.lists(st.lists(st.sampled_from(ORACLE_WORDS), max_size=6).map(" ".join),
+                       max_size=8),
+        scheme=st.sampled_from([UnitScheme.word(), UnitScheme.morph(), UnitScheme.char_unigram(),
+                                UnitScheme.char_ngram(2), UnitScheme.char_ngram(3),
+                                UnitScheme.ortho_syllable()]),
+        morphs=st.sampled_from([ORACLE_LEXICON, None]),
+        script=st.sampled_from([None, ScriptId.DEVANAGARI]),
+        one_shot=st.booleans(),
+    )
+    def test_matches_per_token_counting(self, lines, scheme, morphs, script, one_shot):
+        source = (line for line in lines) if one_shot else lines
+        assert outcome(vocab_stats, source, scheme, morphs, script) == outcome(
+            per_token_vocab_stats, lines, scheme, morphs, script)
 
 
 class TestUnitRatio:

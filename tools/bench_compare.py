@@ -13,15 +13,26 @@ workload and seed it runs, in each checkout and one after the other,
 
 alternating which of the two goes first, and (re)writes BENCH_NAME.json in
 the current directory after every pair, printing that pair's change /
-parent ratio of every end-to-end metric. Per end-to-end metric of
-BENCHMARK.json the file holds both sides' raw and scaled medians,
-quartiles and IQR / median, the change / parent ratio of the scaled
-medians, how many pairs each side won, and two flags against the metric's
-`bound`: `regressed` (the change's scaled median is worse than the
-parent's by more than the bound) and `unresolved` (the parent's IQR /
-median exceeds the bound, so the runs spread too widely to tell). Per side it adds up the
-checks attempted and failed and counts the runs that exited non-zero,
-whose pairs are left out of the summaries. It also keeps every run's
+parent ratio of every end-to-end metric. Both checkouts' Python sources
+are compiled first, so that both sides start from bytecode.
+
+Per end-to-end metric of BENCHMARK.json the file holds both sides' raw
+and scaled medians, quartiles and IQR / median, the change / parent
+ratio of the scaled medians, how many pairs each side won, and three
+flags:
+
+- `regressed`: the change's scaled median is worse than the parent's by
+  more than the metric's `bound`;
+- `unresolved`: the parent's IQR / median exceeds the bound, so the runs
+  spread too widely to tell, unless every change run reads better than
+  every parent run;
+- `gained` (the rule for claiming a gain): of at least ten pairs run, the
+  change won nine tenths or more, and its scaled median is better than
+  the parent's by more than the parent's q3 - q1.
+
+Per side it adds up the checks attempted and failed and counts the runs
+that exited non-zero, whose pairs are left out of the summaries but stay
+in the pairs run that `gained` divides by. It also keeps every run's
 figures, the seeds and the two revisions (a checkout's `git rev-parse
 HEAD` unless given).
 """
@@ -53,6 +64,18 @@ def revision(checkout: Path, given: str | None) -> str | None:
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return proc.stdout.strip() or None
+
+
+def compile_sources(checkout: Path) -> None:
+    """Write a checkout's bytecode before its first run.
+
+    Under PYTHONDONTWRITEBYTECODE a checkout that has no __pycache__ yet
+    compiles its sources in every fresh interpreter while one that has
+    reads them, which makes start-up, and memory, differ between two
+    copies of the same code.
+    """
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench", "tests"],
+                   cwd=checkout, check=True, capture_output=True)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -90,7 +113,8 @@ def collate(pairs: list[dict], metrics: list[dict]) -> dict:
 
     `sides` adds up each side's `attempted` and `failed` checks. A run that
     exited non-zero drops its pair from the metric summaries, and its
-    side's `pairs_dropped` counts it. A tie counts as a win for neither side.
+    side's `pairs_dropped` counts it, but it stays among the pairs run that
+    `gained` needs nine tenths of. A tie counts as a win for neither side.
     A metric without a `bound` gets None for `regressed` and `unresolved`.
     """
     ok = [p for p in pairs if all(p[s]["exit"] == 0 for s in SIDES)]
@@ -120,11 +144,17 @@ def collate(pairs: list[dict], metrics: list[dict]) -> dict:
         entry["parent_wins"] = sum(c != p and (p > c) == higher for p, c in values)
         entry["pairs"] = len(ok)
         entry["regressed"] = entry["unresolved"] = None
-        bound = metric.get("bound")
-        if bound is not None and parent and change:
-            worse = (parent["median"] - change["median"]) * (1 if higher else -1)
-            entry["regressed"] = worse > bound * parent["median"]
-            entry["unresolved"] = (parent["iqr_over_median"] or 0.0) > bound
+        entry["gained"] = False
+        if parent and change:
+            sign = 1 if higher else -1
+            better = (change["median"] - parent["median"]) * sign
+            entry["gained"] = (len(pairs) >= 10 and 10 * entry["change_wins"] >= 9 * len(pairs)
+                               and better > parent["q3"] - parent["q1"])
+            bound = metric.get("bound")
+            if bound is not None:
+                separated = min(c * sign for _, c in values) > max(p * sign for p, _ in values)
+                entry["regressed"] = -better > bound * parent["median"]
+                entry["unresolved"] = (parent["iqr_over_median"] or 0.0) > bound and not separated
         out[name] = entry
     return {"sides": sides, "metrics": out}
 
@@ -171,6 +201,8 @@ def main() -> int:
         "workloads": {},
     }
     dirs = {"parent": args.parent, "change": args.change}
+    for checkout in dirs.values():
+        compile_sources(checkout)
     for workload in args.workloads:
         pairs: list[dict] = []
         for idx, seed in enumerate(args.seeds):
@@ -183,9 +215,9 @@ def main() -> int:
             out_path.write_text(json.dumps(bench, indent=1) + "\n")
             print(progress_line(workload, pair, metrics), flush=True)
         flagged = {flag: [name for name, m in bench["workloads"][workload]["metrics"].items()
-                          if m[flag]] for flag in ("regressed", "unresolved")}
-        print(f"{workload}: regressed {flagged['regressed']}, unresolved {flagged['unresolved']}",
-              flush=True)
+                          if m[flag]] for flag in ("regressed", "unresolved", "gained")}
+        print(f"{workload}: regressed {flagged['regressed']}, unresolved {flagged['unresolved']},"
+              f" gained {flagged['gained']}", flush=True)
     return 0
 
 
