@@ -172,24 +172,25 @@ def segment_word(
     OS units are cached per (word, script) for up to 65,536 words, so a
     repeated word is syllabified once; each call returns a fresh list.
     """
-    if scheme.kind == _WORD:
+    kind = scheme.kind
+    if kind == _OS:
+        return list(_os_units(word, script))
+    if kind == _WORD:
         return [word]
-    if scheme.kind == _MORPH:
+    if kind == _MORPH:
         if morphs is None:
             raise ParameterError("morph scheme requires a morph lexicon")
         entry = morphs.get(word)
         return list(entry) if entry is not None else [word]
-    if scheme.kind == _CHAR:
+    if kind == _CHAR:
         return list(word)
-    if scheme.kind == _CHAR_NGRAM:
-        n = scheme.n
-        return [word[i:i + n] for i in range(0, len(word), n)]
-    return list(_os_units(word, script))
+    n = scheme.n  # the char n-gram scheme
+    return [word[i:i + n] for i in range(0, len(word), n)]
 
 
 @lru_cache(maxsize=65536)
 def _os_units(word: str, script: ScriptId | None) -> tuple[str, ...]:
-    return tuple(unit.text for unit in syllabify(word, script))
+    return tuple([unit.text for unit in syllabify(word, script)])
 
 
 def check_marker(marker: str, on_marker_collision: str = "error") -> str:
@@ -223,21 +224,21 @@ def tokenize_sentence(
             f"on_marker_collision must be 'error' or 'replace', got {on_marker_collision!r}"
         )
     words = sentence.split()
-    cleaned: list[str] = []
-    for word in words:
-        if marker in word:
-            if on_marker_collision == "error":
-                raise MarkerCollisionError(
-                    f"word {word!r} contains the boundary marker {marker!r}"
-                )
-            word = word.replace(marker, MARKER_SUBSTITUTE)
-        cleaned.append(word)
+    # the marker is one non-whitespace code point, so it is in the sentence
+    # exactly when it is in one of its words
+    if marker in sentence:
+        if on_marker_collision == "error":
+            word = next(word for word in words if marker in word)
+            raise MarkerCollisionError(
+                f"word {word!r} contains the boundary marker {marker!r}"
+            )
+        words = [word.replace(marker, MARKER_SUBSTITUTE) for word in words]
 
     if not scheme.is_subword:
-        return TokenizedSentence(tuple(cleaned), marker, scheme)
+        return TokenizedSentence(tuple(words), marker, scheme)
 
     tokens: list[str] = []
-    for idx, word in enumerate(cleaned):
+    for idx, word in enumerate(words):
         if idx:
             tokens.append(marker)
         tokens.extend(segment_word(word, scheme, morphs, script))

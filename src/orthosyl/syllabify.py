@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import EmptyInputError, MixedScriptError, UnsupportedScriptError
 from .scripts import (
@@ -47,13 +47,20 @@ class OSKind(Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class OrthoSyllable:
+class OrthoSyllable(NamedTuple):
+    """One unit: its text and kind. Immutable; it also equals the plain
+    tuple (text, kind) and unpacks as one."""
+
     text: str
     kind: OSKind
 
     def __str__(self) -> str:
         return self.text
+
+
+# Builds a unit from its (text, kind) tuple in C, skipping the NamedTuple
+# class's Python-level __new__; `_units` calls it once per unit.
+_new = tuple.__new__
 
 
 # Class letters (see the module docstring) by table class; a consonant in
@@ -100,9 +107,11 @@ _KIND_OF_FIRST = {
     "A": OSKind.NASAL_CONSONANT,
     "V": OSKind.INDEPENDENT_VOWEL,
 }
-# syllabify tests every word against it: a global costs a fraction of an
-# Enum member lookup
+# syllabify tests every word against it and `_units` names the two kinds
+# per unit: a global costs a fraction of an Enum member lookup
 _UNSUPPORTED = ScriptId.UNSUPPORTED
+_CONSONANT_CORE = OSKind.CONSONANT_CORE
+_OTHER = OSKind.OTHER
 
 # Why a script is refused, by the flag of the family that a scanner takes
 _NOT_OF_FAMILY = {
@@ -127,17 +136,15 @@ def _units(word: str, matches: list[str], core: str) -> list[OrthoSyllable]:
     """Slice `word` by the lengths of its class-letter matches; a unit that
     starts with no class of `_KIND_OF_FIRST` is ConsonantCore if it holds
     one of the two letters in `core`, else Other."""
+    first, second = core
     units = []
     start = 0
     for match in matches:
         end = start + len(match)
         kind = _KIND_OF_FIRST.get(match[0])
         if kind is None:
-            if core[0] in match or core[1] in match:
-                kind = OSKind.CONSONANT_CORE
-            else:
-                kind = OSKind.OTHER
-        units.append(OrthoSyllable(word[start:end], kind))
+            kind = _CONSONANT_CORE if first in match or second in match else _OTHER
+        units.append(_new(OrthoSyllable, (word[start:end], kind)))
         start = end
     return units
 
@@ -204,14 +211,14 @@ def syllabify(word: str, script: ScriptId | None = None) -> list[OrthoSyllable]:
     if script is None:
         script = detect_script(word)
         if script is _UNSUPPORTED:
-            return [OrthoSyllable(word, OSKind.OTHER)]
+            return [OrthoSyllable(word, _OTHER)]
     else:
         try:
             detected = detect_script(word)
         except MixedScriptError:
             detected = None
         if detected is not script:
-            return [OrthoSyllable(word, OSKind.OTHER)]
+            return [OrthoSyllable(word, _OTHER)]
     if script.is_abugida:
         return syllabify_indic(word, script)
     return syllabify_alpha(word, script)

@@ -434,3 +434,67 @@ def test_round_trip_maps_whitespace_runs_to_one_space(line, scheme):
         assert scheme.kind == "os"
         return
     assert detokenize(ts) == " ".join(line.split())
+
+
+def tokenize_oracle(sentence, scheme, marker, on_marker_collision):
+    """tokenize_sentence's tokens by the reference rule: every word is
+    tested for the marker in turn, and the first that holds it fails."""
+    cleaned = []
+    for word in sentence.split():
+        if marker in word:
+            if on_marker_collision == "error":
+                raise MarkerCollisionError(
+                    f"word {word!r} contains the boundary marker {marker!r}"
+                )
+            word = word.replace(marker, MARKER_SUBSTITUTE)
+        cleaned.append(word)
+    if not scheme.is_subword:
+        return tuple(cleaned)
+    tokens = []
+    for idx, word in enumerate(cleaned):
+        if idx:
+            tokens.append(marker)
+        tokens.extend(segment_word(word, scheme))
+    return tuple(tokens)
+
+
+def tokenized(sentence, scheme, marker, on_marker_collision):
+    return tokenize_sentence(sentence, scheme, marker=marker,
+                             on_marker_collision=on_marker_collision).tokens
+
+
+def tokens_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except MarkerCollisionError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def sentences_with_markers(draw):
+    """A marker and a sentence over a small vocabulary in which 0-2 words
+    hold the marker, with assorted whitespace between the words."""
+    marker = draw(st.sampled_from(["_", "\u03a9"]))
+    words = draw(st.lists(
+        st.sampled_from(["ab", "घर", "मुम्बई", "привет", ",", "42", "a\u03a9b"]),
+        min_size=0, max_size=6,
+    ))
+    for _ in range(draw(st.integers(0, 2)) if words else 0):
+        idx = draw(st.integers(0, len(words) - 1))
+        cut = draw(st.integers(0, len(words[idx])))
+        words[idx] = words[idx][:cut] + marker + words[idx][cut:]
+    seps = draw(st.lists(st.sampled_from([" ", "  ", "\t", "\u3000"]),
+                         min_size=len(words) + 1, max_size=len(words) + 1))
+    sentence = seps[0] + "".join(w + sep for w, sep in zip(words, seps[1:]))
+    return marker, sentence
+
+
+@settings(max_examples=300)
+@given(
+    sentences_with_markers(),
+    st.sampled_from(["error", "replace"]),
+    st.sampled_from([UnitScheme.word(), UnitScheme.char_unigram(), UnitScheme.ortho_syllable()]),
+)
+def test_marker_handling_equals_oracle(marker_sentence, on_marker_collision, scheme):
+    args = marker_sentence[1], scheme, marker_sentence[0], on_marker_collision
+    assert tokens_or_error(tokenized, *args) == tokens_or_error(tokenize_oracle, *args)

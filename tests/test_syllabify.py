@@ -1,6 +1,7 @@
 """Orthographic syllabification: golden segmentations and properties."""
 
 import itertools
+import pickle
 import unicodedata
 
 import pytest
@@ -14,7 +15,13 @@ from orthosyl.errors import (
     UnsupportedScriptError,
 )
 from orthosyl.scripts import SUPPORTED_SCRIPTS, TABLES, CharClass, ScriptId, classify
-from orthosyl.syllabify import OSKind, syllabify, syllabify_alpha, syllabify_indic
+from orthosyl.syllabify import (
+    OrthoSyllable,
+    OSKind,
+    syllabify,
+    syllabify_alpha,
+    syllabify_indic,
+)
 
 
 def texts(units):
@@ -160,6 +167,36 @@ def test_kinds():
     assert kinds == [OSKind.CONSONANT_CORE, OSKind.CONSONANT_CORE, OSKind.INDEPENDENT_VOWEL]
     assert syllabify("गंगा")[1].kind is OSKind.NASAL_CONSONANT
     assert syllabify("apple")[0].kind is OSKind.INDEPENDENT_VOWEL
+
+
+def test_ortho_syllable_contract():
+    # what callers of the public unit type rely on
+    unit = OrthoSyllable("मु", OSKind.CONSONANT_CORE)
+    assert unit == OrthoSyllable(text="मु", kind=OSKind.CONSONANT_CORE)
+    assert (unit.text, unit.kind) == ("मु", OSKind.CONSONANT_CORE)
+    assert repr(unit) == "OrthoSyllable(text='मु', kind=<OSKind.CONSONANT_CORE: 'ConsonantCore'>)"
+    assert str(unit) == "मु"
+    assert syllabify("मुम्बई")[0] == unit
+    assert hash(syllabify("मुम्बई")[0]) == hash(unit)
+    assert unit != OrthoSyllable("मु", OSKind.OTHER)
+    assert len({unit, OrthoSyllable("मु", OSKind.CONSONANT_CORE)}) == 1
+    with pytest.raises(AttributeError):
+        unit.text = "म"
+    again = pickle.loads(pickle.dumps(unit))
+    assert again == unit and type(again) is OrthoSyllable
+
+
+def test_ortho_syllable_is_a_text_kind_pair():
+    # a unit is a full tuple: this pins that surface, README's Library section states it
+    text, kind = syllabify("गंगा")[1]
+    assert (text, kind) == ("ंगा", OSKind.NASAL_CONSONANT)
+    assert syllabify("apple") == [("a", OSKind.INDEPENDENT_VOWEL), ("pple", OSKind.CONSONANT_CORE)]
+    unit = OrthoSyllable("a", OSKind.OTHER)
+    assert len(unit) == 2 and unit[0] == "a" and unit[1] is OSKind.OTHER
+    assert unit._replace(text="b") == OrthoSyllable("b", OSKind.OTHER)
+    assert sorted([OrthoSyllable("b", OSKind.OTHER), unit])[0] is unit  # ordered by text first
+    with pytest.raises(TypeError):  # equal texts fall through to OSKind, which has no order
+        sorted([unit, OrthoSyllable("a", OSKind.CONSONANT_CORE)])
 
 
 def test_visarga_and_signs_attach_left():
