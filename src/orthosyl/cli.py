@@ -16,7 +16,7 @@ import sys
 from . import corpus as corpus_io
 from . import metrics
 from .errors import OrthosylError, map_lines
-from .metrics.bleu import check_max_n
+from .metrics.bleu import DEFAULT_MAX_N, check_max_n
 from .metrics.lebleu import DEFAULT_DELTA, check_delta
 from .scripts import SUPPORTED_SCRIPTS, ScriptId, classify, get_table
 from .segment import (
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("bleu", "lebleu"), required=True)
     p.add_argument("--hyp", required=True, metavar="PATH")
     p.add_argument("--ref", required=True, metavar="PATH")
-    p.add_argument("--max-n", type=_max_n, default=4)
+    p.add_argument("--max-n", type=_max_n, default=DEFAULT_MAX_N)
     p.add_argument("--delta", type=_delta,
                    help=f"fuzzy word-match threshold (lebleu only, default {DEFAULT_DELTA})")
     p.add_argument("--report", metavar="PATH",

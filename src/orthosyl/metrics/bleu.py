@@ -28,6 +28,8 @@ from typing import Callable, Iterable, Sequence
 
 from ..errors import EmptyInputError, ParameterError, check_aligned
 
+DEFAULT_MAX_N = 4
+
 
 @dataclass(frozen=True)
 class BleuReport:
@@ -136,7 +138,7 @@ def _corpus_report(
     return BleuReport(precisions, bp, score, hyp_len, ref_len, tuple(matched), tuple(total))
 
 
-def bleu(hyps: Sequence[str], refs: Sequence[str], max_n: int = 4) -> BleuReport:
+def bleu(hyps: Sequence[str], refs: Sequence[str], max_n: int = DEFAULT_MAX_N) -> BleuReport:
     """Corpus BLEU of whitespace-tokenized hypothesis/reference lines."""
     return _corpus_report(hyps, refs, max_n, lambda hyp, ref, top: _clipped_matches(
         _ngram_counts(hyp, top), _ngram_counts(ref, top), top
@@ -150,7 +152,7 @@ def _reference_counts(ref_tokens: tuple[str, ...], max_n: int) -> Counter:
 
 
 def sentence_bleu_smoothed(
-    hyp_tokens: Sequence[str], ref_tokens: Sequence[str], max_n: int = 4
+    hyp_tokens: Sequence[str], ref_tokens: Sequence[str], max_n: int = DEFAULT_MAX_N
 ) -> float:
     """Sentence-level BLEU with add-one smoothing on orders >= 2."""
     check_max_n(max_n)

@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import ParameterError
-from .bleu import BleuReport, _corpus_report
+from .bleu import DEFAULT_MAX_N, BleuReport, _corpus_report
 from .lcs import edit_distance
 
 DEFAULT_DELTA = 0.6
@@ -112,7 +112,7 @@ def lebleu_report(
     hyps: Sequence[str],
     refs: Sequence[str],
     delta: float = DEFAULT_DELTA,
-    max_n: int = 4,
+    max_n: int = DEFAULT_MAX_N,
 ) -> BleuReport:
     """Fuzzy-match BLEU report; `lebleu` returns just its score."""
     check_delta(delta)
@@ -135,7 +135,7 @@ def lebleu(
     hyps: Sequence[str],
     refs: Sequence[str],
     delta: float = DEFAULT_DELTA,
-    max_n: int = 4,
+    max_n: int = DEFAULT_MAX_N,
 ) -> float:
     """Fuzzy-match BLEU score as a percentage."""
     return lebleu_report(hyps, refs, delta=delta, max_n=max_n).score

@@ -1,6 +1,6 @@
 """Moses-style n-best lists and word-level rescoring of sub-word output.
 
-Entry format, one per line, fields separated by " ||| ":
+Entry format, one per line, exactly four fields separated by " ||| ":
 
     sentence_id ||| token sequence ||| feature text ||| model_score
 
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from ..errors import AlignmentError, MalformedStreamError, OrthosylError, raise_at_line
 from ..segment import DEFAULT_MARKER, detokenize
-from .bleu import sentence_bleu_smoothed
+from .bleu import DEFAULT_MAX_N, sentence_bleu_smoothed
 
 _SEP = " ||| "
 
@@ -60,7 +60,7 @@ def parse_nbest(lines: Iterable[str]) -> NBestList:
         if not line:
             continue
         fields = line.split(_SEP)
-        if len(fields) < 4:
+        if len(fields) != 4:
             raise_at_line(MalformedStreamError(
                 f"expected 4 ' ||| '-separated fields, got {len(fields)}"
             ), lineno)
@@ -91,7 +91,7 @@ def rescore_nbest(
     nbest: NBestList,
     refs: Sequence[str],
     marker: str = DEFAULT_MARKER,
-    max_n: int = 4,
+    max_n: int = DEFAULT_MAX_N,
 ) -> NBestList:
     """Append word-level smoothed BLEU to every entry of a sub-word n-best list.
 

@@ -263,6 +263,12 @@ def _build_indic_table(script: ScriptId) -> ScriptTable:
     )
 
 
+def _is_alpha_vowel(letter: str, vowels: frozenset[str]) -> bool:
+    """The alphabetic vowel rule: a letter of the script's ranges is a vowel
+    iff the first code point of its case fold is in the vowel set."""
+    return letter.casefold()[:1] in vowels
+
+
 def _build_alpha_table(script: ScriptId) -> ScriptTable:
     ranges = _LATIN_RANGES if script is ScriptId.LATIN else _CYRILLIC_RANGES
     vowels = _LATIN_VOWELS if script is ScriptId.LATIN else _CYRILLIC_VOWELS
@@ -270,7 +276,7 @@ def _build_alpha_table(script: ScriptId) -> ScriptTable:
     class_by_offset = {
         cp - start: (
             CharClass.INDEPENDENT_VOWEL
-            if chr(cp).casefold()[:1] in vowels
+            if _is_alpha_vowel(chr(cp), vowels)
             else CharClass.CONSONANT
         )
         for lo, hi in ranges

@@ -23,7 +23,7 @@ from .errors import (
     attach_line,
     raise_at_line,
 )
-from .scripts import ScriptId
+from .scripts import ScriptId, get_table
 from .syllabify import syllabify
 
 DEFAULT_MARKER = "_"
@@ -84,9 +84,7 @@ class UnitScheme:
             if not sep or not num.isdecimal():
                 raise ParameterError(f"expected char-ngram=N, got {text!r}")
             return cls.char_ngram(int(num))
-        if text in (_WORD, _MORPH, _CHAR, _OS):
-            return cls(text)
-        raise ParameterError(f"unknown unit scheme: {text!r}")
+        return cls(text)
 
     @property
     def is_subword(self) -> bool:
@@ -161,6 +159,11 @@ class TokenizedSentence:
         return " ".join(self.tokens)
 
 
+def _check_lexicon(kind: str, morphs: MorphLexicon | None) -> None:
+    if kind == _MORPH and morphs is None:
+        raise ParameterError("morph scheme requires a morph lexicon")
+
+
 def segment_word(
     word: str,
     scheme: UnitScheme,
@@ -178,8 +181,7 @@ def segment_word(
     if kind == _WORD:
         return [word]
     if kind == _MORPH:
-        if morphs is None:
-            raise ParameterError("morph scheme requires a morph lexicon")
+        _check_lexicon(kind, morphs)
         entry = morphs.get(word)
         return list(entry) if entry is not None else [word]
     if kind == _CHAR:
@@ -194,11 +196,16 @@ def _os_units(word: str, script: ScriptId | None) -> tuple[str, ...]:
 
 
 def check_marker(marker: str, on_marker_collision: str = "error") -> str:
-    """Return the marker if it survives str.split() and NFC; else ParameterError."""
+    """Return the marker if it survives str.split() and NFC and the collision
+    mode is 'error' or 'replace'; else ParameterError."""
     if len(marker) != 1 or marker.isspace() or not unicodedata.is_normalized("NFC", marker):
         raise ParameterError(f"marker must be one non-whitespace NFC code point, got {marker!r}")
     if on_marker_collision == "replace" and marker == MARKER_SUBSTITUTE:
         raise ParameterError(f"marker {marker!r} is the in-word substitute under 'replace'")
+    if on_marker_collision not in ("error", "replace"):
+        raise ParameterError(
+            f"on_marker_collision must be 'error' or 'replace', got {on_marker_collision!r}"
+        )
     return marker
 
 
@@ -219,10 +226,6 @@ def tokenize_sentence(
     in-word occurrences with MARKER_SUBSTITUTE.
     """
     check_marker(marker, on_marker_collision)
-    if on_marker_collision not in ("error", "replace"):
-        raise ParameterError(
-            f"on_marker_collision must be 'error' or 'replace', got {on_marker_collision!r}"
-        )
     words = sentence.split()
     # the marker is one non-whitespace code point, so it is in the sentence
     # exactly when it is in one of its words
@@ -294,12 +297,18 @@ def segment_corpus(
 ) -> Iterator[str]:
     """Tokenize a corpus line by line, preserving line count and order.
 
-    Per-line errors (OrthosylError) are reported with their 1-based line
-    number; the run fails on the first error unless `skip_errors` is set, in
-    which case the offending line is passed through unchanged and the
-    diagnostic goes to `error_sink`. Any other exception is a programming
-    error and propagates unchanged, whatever `skip_errors` says.
+    The parameters are checked before the first line is read; a bad one
+    raises without a line number, whatever `skip_errors` says. Per-line
+    errors (OrthosylError) are reported with their 1-based line number; the
+    run fails on the first error unless `skip_errors` is set, in which case
+    the offending line is passed through unchanged and the diagnostic goes
+    to `error_sink`. Any other exception is a programming error and
+    propagates unchanged, whatever `skip_errors` says.
     """
+    check_marker(marker, on_marker_collision)
+    if script is not None:
+        get_table(script)
+    _check_lexicon(scheme.kind, morphs)
     for lineno, line in enumerate(lines, start=1):
         try:
             yield str(

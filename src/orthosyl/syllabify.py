@@ -35,6 +35,7 @@ from .scripts import (
     ScriptId,
     ScriptTable,
     _UNIVERSAL_SIGNS,
+    _is_alpha_vowel,
     detect_script,
     get_table,
 )
@@ -179,23 +180,26 @@ def syllabify_alpha(
     The units are the matches of `_ALPHA_UNIT` over the word's class
     letters. A word-initial vowel run is its own unit, a word-final
     consonant run attaches to the preceding unit, and a vowel-less word is a
-    single unit. Casing is preserved. Vowels are the letters that the
-    script's table classifies as vowels (its vowel set, matched
-    case-insensitively), so a code point outside the script's letter ranges
-    is never a vowel. A `vowels` override is matched against each code
-    point's case fold instead.
+    single unit. Casing is preserved. A letter of the script's ranges is a
+    vowel iff the first code point of its case fold is in the vowel set,
+    else a consonant; a code point outside those ranges is never a vowel,
+    even if the set lists it. `vowels`, any iterable of one-character
+    strings, overrides the script's own set, `TABLES[script].vowel_set`.
 
     A unit's kind is IndependentVowel if it starts with a vowel, else
     ConsonantCore if it holds a vowel or consonant, else Other.
     """
     word = _checked_word(word, script, "is_alphabetic")
-    classes = word.translate(_CLASS_LETTERS[script])
+    letters = _CLASS_LETTERS[script]
     if vowels is not None:
-        classes = "".join(
-            "V" if ch.casefold()[:1] in vowels else "C" if k == "C" else "x"
-            for ch, k in zip(word, classes)
-        )
-    return _units(word, _ALPHA_UNIT.findall(classes), "VC")
+        # reclassify the word's own letters (C or V) under the override
+        vowels = frozenset(vowels)
+        letters = {
+            cp: ("V" if _is_alpha_vowel(chr(cp), vowels) else "C") if letters[cp] in "CV"
+            else letters[cp]
+            for cp in set(map(ord, word)) if cp in letters
+        }
+    return _units(word, _ALPHA_UNIT.findall(word.translate(letters)), "VC")
 
 
 def syllabify(word: str, script: ScriptId | None = None) -> list[OrthoSyllable]:

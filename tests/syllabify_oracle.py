@@ -12,7 +12,7 @@ from __future__ import annotations
 import unicodedata
 
 from orthosyl.errors import EmptyInputError, UnsupportedScriptError
-from orthosyl.scripts import CharClass, ScriptId, _UNIVERSAL_SIGNS, get_table
+from orthosyl.scripts import LETTER_CLASSES, CharClass, ScriptId, _UNIVERSAL_SIGNS, get_table
 from orthosyl.syllabify import OrthoSyllable, OSKind
 
 _NASAL_SIGNS = (CharClass.ANUSVARA, CharClass.CHANDRABINDU)
@@ -123,8 +123,8 @@ def syllabify_alpha(
     Casing is preserved. Vowels are the letters that the script's table
     classifies as vowels (its vowel set, matched case-insensitively), so a
     code point outside the script's letter ranges is never a vowel. A
-    `vowels` override is matched against each code point's case fold
-    instead.
+    `vowels` override reclassifies the script's letters only: a letter is a
+    vowel iff its case fold starts with one of `vowels`, else a consonant.
     """
     if not word:
         raise EmptyInputError("cannot syllabify an empty word")
@@ -138,11 +138,9 @@ def syllabify_alpha(
     if vowels is None:
         vowel = [k is CharClass.INDEPENDENT_VOWEL for k in cls]
     else:
-        vowel = [ch.casefold()[:1] in vowels for ch in word]
+        vowel = [k in LETTER_CLASSES and ch.casefold()[:1] in vowels for k, ch in zip(cls, word)]
     units: list[OrthoSyllable] = []
-    has_consonant = any(
-        k is CharClass.CONSONANT and not v for k, v in zip(cls, vowel)
-    )
+    has_consonant = any(k in LETTER_CLASSES and not v for k, v in zip(cls, vowel))
     i, n = 0, len(word)
     while i < n:
         start = i

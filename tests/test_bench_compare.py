@@ -12,9 +12,10 @@ METRICS = [{"name": "segment_mchar_s", "unit": "Mchar/s", "better": "higher"},
            {"name": "setup_s", "unit": "s", "better": "lower"}]
 
 
-def run(segment, setup, failed=0):
+def run(segment, setup, failed=0, load=0.5):
     figures = {"segment_mchar_s": segment, "setup_s": setup}
-    return {"exit": 0, "attempted": 10, "failed": failed, "scaled": figures, "raw": figures}
+    return {"exit": 0, "load": load, "attempted": 10, "failed": failed,
+            "scaled": figures, "raw": figures}
 
 
 def test_seed_list():
@@ -38,12 +39,12 @@ def test_ties_count_for_neither_side():
 def test_failed_run_drops_its_pair_and_is_counted():
     pairs = [
         {"parent": run(1.0, 0.2), "change": run(2.0, 0.1, failed=1)},
-        {"parent": run(1.0, 0.2), "change": {"exit": 1, "stderr": "boom"}},
+        {"parent": run(1.0, 0.2), "change": {"exit": 1, "load": 0.5, "stderr": "boom"}},
     ]
     out = bench_compare.collate(pairs, METRICS)
     assert out["sides"] == {
-        "parent": {"attempted": 20, "failed": 0, "pairs_dropped": 0},
-        "change": {"attempted": 10, "failed": 1, "pairs_dropped": 1},
+        "parent": {"attempted": 20, "failed": 0, "max_load": 0.5, "pairs_dropped": 0},
+        "change": {"attempted": 10, "failed": 1, "max_load": 0.5, "pairs_dropped": 1},
     }
     segment = out["metrics"]["segment_mchar_s"]
     assert segment["pairs"] == 1
@@ -89,14 +90,29 @@ def test_progress_line_gives_every_metric_ratio():
     pair = {"seed": 7, "parent": run(2.0, 0.2), "change": run(3.0, 0.1, failed=1)}
     assert bench_compare.progress_line("hindi", pair, METRICS) == (
         "hindi seed 7: change/parent segment_mchar_s 1.500, setup_s 0.500"
-        "; failed parent 0 change 1")
+        "; failed parent 0 change 1; load parent 0.50 change 0.50")
 
 
 def test_progress_line_marks_a_failed_run():
-    pair = {"seed": 8, "parent": {"exit": 1, "stderr": "boom"}, "change": run(3.0, 0.1)}
+    pair = {"seed": 8, "parent": {"exit": 1, "load": 0.25, "stderr": "boom"},
+            "change": run(3.0, 0.1)}
     assert bench_compare.progress_line("multiscript", pair, METRICS) == (
         "multiscript seed 8: change/parent segment_mchar_s n/a, setup_s n/a"
-        "; failed parent exit 1 change 0")
+        "; failed parent exit 1 change 0; load parent 0.25 change 0.50")
+
+
+def test_load_before_each_run_is_reported_per_side():
+    # a busy host slows one side of a pair: each side's load shows in the
+    # pair's line and its highest in the collation, failed runs included
+    pairs = [
+        {"seed": 1, "parent": run(1.0, 0.2, load=0.1), "change": run(1.0, 0.2, load=1.37)},
+        {"seed": 2, "parent": {"exit": 1, "load": 2.5, "stderr": "boom"},
+         "change": run(1.0, 0.2, load=0.2)},
+    ]
+    sides = bench_compare.collate(pairs, METRICS)["sides"]
+    assert (sides["parent"]["max_load"], sides["change"]["max_load"]) == (2.5, 1.37)
+    assert bench_compare.progress_line("hindi", pairs[0], METRICS).endswith(
+        "; load parent 0.10 change 1.37")
 
 
 def test_unresolved_clears_when_every_change_run_is_better():
@@ -139,7 +155,7 @@ def test_not_gained_when_the_gap_is_within_the_parents_quartiles():
 
 def test_dropped_pairs_stay_in_the_denominator():
     won = [{"parent": run(p, 0.2), "change": run(1.5, 0.2)} for p in PARENT_SEGMENT[:9]]
-    dropped = {"parent": run(1.0, 0.2), "change": {"exit": 1, "stderr": "boom"}}
+    dropped = {"parent": run(1.0, 0.2), "change": {"exit": 1, "load": 0.5, "stderr": "boom"}}
     assert gained(won + [dropped])  # 9 of 10
     assert not gained(won + [dropped, dropped])  # 9 of 11, though 9 of the 9 summarised
 

@@ -519,6 +519,9 @@ PER_LINE_ERRORS = {
                          {"lex": "ab\ta b\nabc\ta c\n"}, 2),
     "nbest fields": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
                      {"nbest": "0 ||| a ||| f ||| 1\n0 ||| a ||| f\n", "ref": "a\n"}, 2),
+    "nbest extra field": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
+                          {"nbest": "0 ||| a ||| f ||| 1\n0 ||| a ||| f ||| 1 ||| extra\n",
+                           "ref": "a\n"}, 2),
     "nbest number": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
                      {"nbest": "0 ||| a ||| f ||| 1\n\n0 ||| a ||| f ||| x\n", "ref": "a\n"}, 3),
     "nbest order": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",

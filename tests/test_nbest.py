@@ -51,6 +51,11 @@ def test_parse_error_carries_its_line_number():
         parse_nbest(["0 ||| a ||| f ||| 1", "0 ||| a ||| f"])
     assert info.value.lineno == 2
     assert str(info.value) == "line 2: expected 4 ' ||| '-separated fields, got 3"
+    # a fifth field (an alignment, or an earlier word_bleu) would be lost
+    with pytest.raises(MalformedStreamError) as info:
+        parse_nbest(["0 ||| a ||| f ||| 1", "", "0 ||| a ||| f ||| 1 ||| extra"])
+    assert info.value.lineno == 3
+    assert str(info.value) == "line 3: expected 4 ' ||| '-separated fields, got 5"
 
 
 def test_rescore_appends_word_bleu():

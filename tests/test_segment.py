@@ -13,6 +13,7 @@ from orthosyl.errors import (
     MarkerCollisionError,
     MixedScriptError,
     ParameterError,
+    UnsupportedScriptError,
     raise_at_line,
 )
 from orthosyl.scripts import ScriptId
@@ -251,6 +252,7 @@ class TestTokenize:
         ("\u3000", "error"),
         ("\u2126", "error"),  # OHM SIGN: NFC makes it U+03A9
         (MARKER_SUBSTITUTE, "replace"),
+        ("_", "bogus"),  # a legal marker, an unknown collision mode
     ])
     def test_illegal_marker_is_rejected(self, marker, on_marker_collision):
         with pytest.raises(ParameterError):
@@ -389,6 +391,23 @@ class TestSegmentCorpus:
 
     def test_empty_corpus(self):
         assert list(segment_corpus([], UnitScheme.word())) == []
+
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"marker": "__"}, ParameterError),
+        ({"on_marker_collision": "bogus"}, ParameterError),
+        ({"script": ScriptId.UNSUPPORTED}, UnsupportedScriptError),
+        ({"scheme": UnitScheme.morph()}, ParameterError),
+    ], ids=["marker", "collision mode", "script", "lexicon"])
+    def test_bad_parameter_raises_before_the_first_line(self, kwargs, error):
+        # a misconfigured run is an error, never a run of skipped lines
+        sink = io.StringIO()
+        kwargs = {"scheme": UnitScheme.ortho_syllable(), **kwargs}
+        out = segment_corpus(["ab", "cd"], skip_errors=True, error_sink=sink, **kwargs)
+        with pytest.raises(error) as info:
+            next(out)
+        assert not hasattr(info.value, "lineno")
+        assert "line" not in str(info.value)
+        assert sink.getvalue() == ""
 
 
 def test_raise_at_line_reraises_the_same_exception():

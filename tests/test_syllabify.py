@@ -2,12 +2,14 @@
 
 import itertools
 import pickle
+import random
 import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import syllabify_oracle
+import textgen
 from orthosyl.errors import (
     EmptyInputError,
     MixedScriptError,
@@ -97,6 +99,45 @@ def test_custom_vowel_set():
     )
     assert default == ["sylla", "ble"]
     assert custom == ["sy", "lla", "ble"]
+    # the override reclassifies the script's letters only: a letter it
+    # leaves out is a consonant, and a code point outside the letter ranges
+    # is never a vowel, listed or case-folding to one
+    assert syllabify_alpha("a", ScriptId.LATIN, vowels={"y"}) == [
+        ("a", OSKind.CONSONANT_CORE)
+    ]
+    latin = TABLES[ScriptId.LATIN].vowel_set
+    assert texts(syllabify_alpha("\u1e9abe", ScriptId.LATIN, vowels=latin)) == ["\u1e9abe"]
+    assert syllabify_alpha("1ba", ScriptId.LATIN, vowels="1a") == [
+        ("1ba", OSKind.CONSONANT_CORE)
+    ]
+
+
+def _alpha_words(script, rng, count):
+    """Seeded words over the script's letter ranges, the textgen alphabets,
+    U+1E9A / U+1C82 / U+1C87 (which case-fold to vowels), digits, ZWJ and
+    arbitrary code points."""
+    table = TABLES[script]
+    pool = (
+        [chr(table.block_start + off) for off in table.class_by_offset]
+        + list(textgen.ALPHABETS["latin"] + textgen.ALPHABETS["cyrillic"])
+        + ["\u1e9a", "\u1c82", "\u1c87", "\u200d"] + list("0123456789")
+    )
+    for _ in range(count):
+        chars = []
+        for _ in range(rng.randint(1, 10)):
+            if rng.random() < 0.9:
+                chars.append(rng.choice(pool))
+            else:
+                cp = rng.randrange(0x20, 0x110000)
+                chars.append(chr(cp) if not 0xD800 <= cp <= 0xDFFF else "?")
+        yield "".join(chars)
+
+
+@pytest.mark.parametrize("script", [ScriptId.LATIN, ScriptId.CYRILLIC], ids=lambda s: s.value)
+def test_own_vowel_set_is_the_default(script):
+    own = TABLES[script].vowel_set
+    for word in _alpha_words(script, random.Random(17), 20_000):
+        assert syllabify_alpha(word, script, vowels=own) == syllabify_alpha(word, script), word
 
 
 @pytest.mark.parametrize("word,script,want", [

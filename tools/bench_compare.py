@@ -13,8 +13,9 @@ workload and seed it runs, in each checkout and one after the other,
 
 alternating which of the two goes first, and (re)writes BENCH_NAME.json in
 the current directory after every pair, printing that pair's change /
-parent ratio of every end-to-end metric. Both checkouts' Python sources
-are compiled first, so that both sides start from bytecode.
+parent ratio of every end-to-end metric and the host's one-minute load
+average before each side's run. Both checkouts' Python sources are
+compiled first, so that both sides start from bytecode.
 
 Per end-to-end metric of BENCHMARK.json the file holds both sides' raw
 and scaled medians, quartiles and IQR / median, the change / parent
@@ -30,17 +31,19 @@ flags:
   change won nine tenths or more, and its scaled median is better than
   the parent's by more than the parent's q3 - q1.
 
-Per side it adds up the checks attempted and failed and counts the runs
-that exited non-zero, whose pairs are left out of the summaries but stay
-in the pairs run that `gained` divides by. It also keeps every run's
-figures, the seeds and the two revisions (a checkout's `git rev-parse
-HEAD` unless given).
+Per side it adds up the checks attempted and failed, takes the highest
+load average seen before a run (a busy host slows both sides unevenly),
+and counts the runs that exited non-zero, whose pairs are left out of the
+summaries but stay in the pairs run that `gained` divides by. It also
+keeps every run's figures, the seeds and the two revisions (a checkout's
+`git rev-parse HEAD` unless given).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -79,7 +82,9 @@ def compile_sources(checkout: Path) -> None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: the result line's metrics plus the report's raw figures."""
+    """One benchmark run: the result line's metrics plus the report's raw
+    figures, and the host's one-minute load average before it started."""
+    load = os.getloadavg()[0]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -87,10 +92,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        return {"exit": proc.returncode, "stderr": proc.stderr[-2000:]}
+        return {"exit": proc.returncode, "load": load, "stderr": proc.stderr[-2000:]}
     report, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {
         "exit": 0,
+        "load": load,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "scaled": {k: v["value"] for k, v in result["metrics"].items()},
@@ -111,9 +117,10 @@ def summary(values: list[float]) -> dict | None:
 def collate(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per-side run totals and, per end-to-end metric, both sides' summaries.
 
-    `sides` adds up each side's `attempted` and `failed` checks. A run that
-    exited non-zero drops its pair from the metric summaries, and its
-    side's `pairs_dropped` counts it, but it stays among the pairs run that
+    `sides` adds up each side's `attempted` and `failed` checks and takes its
+    highest `load` before a run (`max_load`). A run that exited non-zero
+    drops its pair from the metric summaries, and its side's
+    `pairs_dropped` counts it, but it stays among the pairs run that
     `gained` needs nine tenths of. A tie counts as a win for neither side.
     A metric without a `bound` gets None for `regressed` and `unresolved`.
     """
@@ -122,6 +129,7 @@ def collate(pairs: list[dict], metrics: list[dict]) -> dict:
         side: {
             "attempted": sum(p[side].get("attempted", 0) for p in pairs),
             "failed": sum(p[side].get("failed", 0) for p in pairs),
+            "max_load": max(p[side]["load"] for p in pairs),
             "pairs_dropped": sum(p[side]["exit"] != 0 for p in pairs),
         }
         for side in SIDES
@@ -160,7 +168,8 @@ def collate(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def progress_line(workload: str, pair: dict, metrics: list[dict]) -> str:
-    """One pair's change / parent ratio of every end-to-end metric, and its failed checks.
+    """One pair's change / parent ratio of every end-to-end metric, its failed
+    checks and each side's load average before its run.
 
     A ratio reads n/a where either side has no figure for the metric (a run
     that exited non-zero, or a zero parent figure).
@@ -174,7 +183,8 @@ def progress_line(workload: str, pair: dict, metrics: list[dict]) -> str:
         ratios.append(f"{name} {ratio}")
     failed = {s: pair[s].get("failed", f"exit {pair[s]['exit']}") for s in SIDES}
     return (f"{workload} seed {pair['seed']}: change/parent {', '.join(ratios)}"
-            f"; failed parent {failed['parent']} change {failed['change']}")
+            f"; failed parent {failed['parent']} change {failed['change']}"
+            f"; load parent {pair['parent']['load']:.2f} change {pair['change']['load']:.2f}")
 
 
 def main() -> int:
