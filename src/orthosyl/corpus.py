@@ -23,7 +23,7 @@ from .errors import (
     raise_at_line,
 )
 from .scripts import ScriptId
-from .segment import MorphLexicon, UnitScheme, segment_word
+from .segment import MorphLexicon, UnitScheme, check_unit_options, segment_word
 
 _BOM = "﻿"
 
@@ -130,14 +130,18 @@ def vocab_stats(
 ) -> VocabStats:
     """Segment every word of the corpus and count the resulting units.
 
-    `lines` is read once, counting words; then each distinct word is
-    segmented once (one segment_word call per distinct word, not per
-    token) and its count is added to each of its units. The state held is
-    the word counts plus one int per line. Boundary markers are never
-    counted (segment_word emits none). A word that cannot be segmented
-    raises its OrthosylError with the 1-based number of the first line it
-    occurs on, as in segment_corpus.
+    The parameters are checked before the first line is read: a forced
+    script with no table, or a morph scheme without a lexicon, raises
+    without a line number (`check_unit_options`). Then `lines` is read
+    once, counting words, and each distinct word is segmented once (one
+    segment_word call per distinct word, not per token) and its count is
+    added to each of its units. The state held is the word counts plus
+    one int per line. Boundary markers are never counted (segment_word
+    emits none). A word that cannot be segmented raises its OrthosylError
+    with the 1-based number of the first line it occurs on, as in
+    segment_corpus.
     """
+    check_unit_options(scheme, morphs, script)
     words: Counter[str] = Counter()
     seen: list[int] = []  # distinct words seen up to and including each line
     for line in lines:

@@ -6,16 +6,20 @@ their references. A smoothed sentence-level variant (add-one on the
 precisions of orders >= 2) is provided for n-best rescoring, where the
 unsmoothed score is almost always zero.
 
-One counting path serves all three BLEU variants. `_ngram_counts` counts
-the n-grams of every order 1..top of a line in one Counter, and
-`_clipped_matches` walks the hypothesis Counter once, clipping each n-gram
-to its reference count and adding it to the slot of its order. `bleu` and
+One counting path serves all three BLEU variants. `_ngrams` lists the
+n-grams of every order 1..top of a line, order by order, as tuples that
+`zip` builds; `_ngram_counts` counts that list into one Counter for a
+reference. `_clipped_matches` walks the hypothesis list once without
+counting it: each n-gram found in the reference counts uses up one of
+them and adds 1 to the slot of its order, so per order the matches sum
+to min(hypothesis count, reference count), the clipped count. `bleu` and
 `sentence_bleu_smoothed` take their clipped counts from it; `bleu` and
 Le-BLEU (`lebleu.lebleu_report`) pool per-line matches into a report
 through `_corpus_report`. `sentence_bleu_smoothed` keeps the counts of
 the last reference it saw (`_reference_counts`), so the consecutive
 entries of an n-best list that share a sentence id count their reference
-once; the cached Counter is only read.
+once; each entry uses up a plain dict copy, and the cached Counter is
+only read.
 """
 
 from __future__ import annotations
@@ -49,11 +53,17 @@ class BleuReport:
     total: tuple[int, ...]
 
 
+def _ngrams(tokens: Sequence[str], top: int) -> list[tuple[str, ...]]:
+    """The n-grams (as tuples) of orders 1..top, all of order 1 first."""
+    grams = list(zip(tokens)) if top else []
+    for n in range(2, top + 1):
+        grams += zip(*[tokens[i:] for i in range(n)])
+    return grams
+
+
 def _ngram_counts(tokens: Sequence[str], top: int) -> Counter:
     """One Counter over the n-grams (as tuples) of every order 1..top."""
-    return Counter([
-        tuple(tokens[i:i + n]) for n in range(1, top + 1) for i in range(len(tokens) - n + 1)
-    ])
+    return Counter(_ngrams(tokens, top))
 
 
 def _tokenize(line: str) -> list[str]:
@@ -92,15 +102,19 @@ def combine_precisions(
     return bp * math.exp(log_mean) * 100.0
 
 
-def _clipped_matches(hyp: Counter, ref_counts: Counter, top: int) -> list[int]:
+def _clipped_matches(
+    hyp_grams: Iterable[tuple[str, ...]], ref_counts: dict, top: int
+) -> list[int]:
     """Per order 1..top, hypothesis n-grams matched in the reference, each
-    clipped to its reference count. Reads `ref_counts` without inserting."""
+    clipped to its reference count. A match uses up one count of
+    `ref_counts`, which the caller hands over; no key is inserted."""
     matched = [0] * top
     ref_get = ref_counts.get
-    for gram, count in hyp.items():
+    for gram in hyp_grams:
         ref_count = ref_get(gram)
         if ref_count:
-            matched[len(gram) - 1] += min(count, ref_count)
+            ref_counts[gram] = ref_count - 1
+            matched[len(gram) - 1] += 1
     return matched
 
 
@@ -141,7 +155,7 @@ def _corpus_report(
 def bleu(hyps: Sequence[str], refs: Sequence[str], max_n: int = DEFAULT_MAX_N) -> BleuReport:
     """Corpus BLEU of whitespace-tokenized hypothesis/reference lines."""
     return _corpus_report(hyps, refs, max_n, lambda hyp, ref, top: _clipped_matches(
-        _ngram_counts(hyp, top), _ngram_counts(ref, top), top
+        _ngrams(hyp, top), _ngram_counts(ref, top), top
     ))
 
 
@@ -157,7 +171,7 @@ def sentence_bleu_smoothed(
     """Sentence-level BLEU with add-one smoothing on orders >= 2."""
     check_max_n(max_n)
     matches = _clipped_matches(
-        _ngram_counts(hyp_tokens, max_n), _reference_counts(tuple(ref_tokens), max_n), max_n
+        _ngrams(hyp_tokens, max_n), dict(_reference_counts(tuple(ref_tokens), max_n)), max_n
     )
     precisions: list[float] = []
     for n, matched in enumerate(matches, start=1):

@@ -164,6 +164,17 @@ def _check_lexicon(kind: str, morphs: MorphLexicon | None) -> None:
         raise ParameterError("morph scheme requires a morph lexicon")
 
 
+def check_unit_options(
+    scheme: UnitScheme, morphs: MorphLexicon | None = None, script: ScriptId | None = None
+) -> None:
+    """Raise if `scheme` cannot segment with these options: a forced script
+    with no table (UnsupportedScriptError) or a morph scheme without a
+    lexicon (ParameterError). Corpus-level callers run it before line 1."""
+    if script is not None:
+        get_table(script)
+    _check_lexicon(scheme.kind, morphs)
+
+
 def segment_word(
     word: str,
     scheme: UnitScheme,
@@ -306,9 +317,7 @@ def segment_corpus(
     propagates unchanged, whatever `skip_errors` says.
     """
     check_marker(marker, on_marker_collision)
-    if script is not None:
-        get_table(script)
-    _check_lexicon(scheme.kind, morphs)
+    check_unit_options(scheme, morphs, script)
     for lineno, line in enumerate(lines, start=1):
         try:
             yield str(

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import bleu_oracle
 from orthosyl.errors import AlignmentError, EmptyInputError, OrthosylError, ParameterError
 from orthosyl.metrics import bleu, sentence_bleu_smoothed
-from orthosyl.metrics.bleu import _ngram_counts, _reference_counts
+from orthosyl.metrics.bleu import _clipped_matches, _ngram_counts, _ngrams, _reference_counts
 
 
 def test_identical_corpora_score_100():
@@ -146,16 +147,42 @@ def test_sentence_bleu_equals_oracle(hyp, ref, max_n):
     )
 
 
+def order_ngrams(tokens, n):
+    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
+
+
+@st.composite
+def token_pair(draw):
+    """Hypothesis and reference over one 2-4 symbol alphabet, so n-grams repeat."""
+    alphabet = "abcd"[:draw(st.integers(2, 4))]
+    line = st.lists(st.sampled_from(alphabet), max_size=12)
+    return draw(line), draw(line)
+
+
+@settings(max_examples=400, deadline=None)
+@given(token_pair(), st.integers(1, 6))
+def test_clipped_matches_equal_counter_intersection(pair, top):
+    # clipping by definition: per order, the size of the multiset intersection
+    hyp, ref = pair
+    want = [sum((Counter(order_ngrams(hyp, n)) & Counter(order_ngrams(ref, n))).values())
+            for n in range(1, top + 1)]
+    assert _clipped_matches(_ngrams(hyp, top), _ngram_counts(ref, top), top) == want
+
+
 def test_cached_reference_counts_are_not_mutated():
-    # B has n-grams the reference lacks; scoring it between two scorings of A
-    # against the same (cached) reference must leave A's score unchanged
+    # every entry uses up a copy of the cached reference counts; scoring many
+    # hypotheses with n-grams the reference lacks, and with more repeats of
+    # the ones it has, against the same (cached) reference must leave the
+    # cache equal to a fresh count and the first score unchanged
     ref = "a b a b c a".split()
-    hyp_a = "a b a x".split()
-    hyp_b = "x c a b a b a b c y".split()
-    first = sentence_bleu_smoothed(hyp_a, ref)
-    sentence_bleu_smoothed(hyp_b, ref)
-    assert sentence_bleu_smoothed(hyp_a, ref) == first
-    assert first == bleu_oracle.sentence_bleu_smoothed(hyp_a, ref)
+    rng = random.Random(3)
+    hyps = ["a b a x".split()] + [
+        rng.choices("a b c x y".split(), k=rng.randint(0, 14)) for _ in range(49)
+    ]
+    first = sentence_bleu_smoothed(hyps[0], ref)
+    for hyp in hyps:
+        assert sentence_bleu_smoothed(hyp, ref) == bleu_oracle.sentence_bleu_smoothed(hyp, ref)
+    assert sentence_bleu_smoothed(hyps[0], ref) == first
     assert dict(_reference_counts(tuple(ref), 4)) == dict(_ngram_counts(ref, 4))
 
 

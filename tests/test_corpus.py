@@ -20,10 +20,12 @@ from orthosyl.errors import (
     DegenerateCorpusError,
     MixedScriptError,
     OrthosylError,
+    ParameterError,
     SplitSizeError,
+    UnsupportedScriptError,
     map_lines,
 )
-from orthosyl.scripts import ScriptId
+from orthosyl.scripts import ScriptId, get_table
 from orthosyl.segment import MorphLexicon, UnitScheme, segment_word
 
 
@@ -149,6 +151,16 @@ class TestSplit:
             split_corpus(self.LINES, (-1, 2, 1))
 
 
+class Unread:
+    """An iterable of lines that fails the test if a line is asked for."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        pytest.fail("a line was read before the parameters were checked")
+
+
 class TestVocabStats:
     def test_word_scheme(self):
         stats = vocab_stats(["ab ab"], UnitScheme.word())
@@ -198,9 +210,26 @@ class TestVocabStats:
             "line 2: word 'Facebookपर' mixes Latin and Devanagari letters"
         )
 
+    @pytest.mark.parametrize("scheme, script, error", [
+        (UnitScheme.morph(), None, ParameterError),
+        (UnitScheme.ortho_syllable(), ScriptId.UNSUPPORTED, UnsupportedScriptError),
+        (UnitScheme.word(), ScriptId.UNSUPPORTED, UnsupportedScriptError),
+    ])
+    def test_parameters_checked_first(self, scheme, script, error):
+        with pytest.raises(error) as info:
+            vocab_stats(Unread(), scheme, None, script)
+        assert getattr(info.value, "lineno", None) is None
+        assert not str(info.value).startswith("line ")
+
 
 def per_token_vocab_stats(lines, scheme, morphs=None, script=None):
-    """Oracle: segment every word token in corpus order and count its units."""
+    """Oracle: check the parameters before any line, then segment every word
+    token in corpus order and count its units."""
+    if script is not None:
+        get_table(script)
+    if scheme == UnitScheme.morph() and morphs is None:
+        raise ParameterError("morph scheme requires a morph lexicon")
+
     def line_units(line):
         return [u for word in line.split() for u in segment_word(word, scheme, morphs, script)]
 
@@ -236,7 +265,7 @@ class TestVocabStatsOracle:
                                 UnitScheme.char_ngram(2), UnitScheme.char_ngram(3),
                                 UnitScheme.ortho_syllable()]),
         morphs=st.sampled_from([ORACLE_LEXICON, None]),
-        script=st.sampled_from([None, ScriptId.DEVANAGARI]),
+        script=st.sampled_from([None, ScriptId.DEVANAGARI, ScriptId.UNSUPPORTED]),
         one_shot=st.booleans(),
     )
     def test_matches_per_token_counting(self, lines, scheme, morphs, script, one_shot):
