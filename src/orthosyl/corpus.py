@@ -21,6 +21,7 @@ from .errors import (
     OrthosylError,
     SplitSizeError,
     raise_at_line,
+    source_prefix,
 )
 from .scripts import ScriptId
 from .segment import MorphLexicon, UnitScheme, check_unit_options, segment_word
@@ -40,16 +41,14 @@ def load_corpus(source: str | Path | IO) -> list[str]:
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
-        where = f"{source}: "
     else:
         raw = source.read()
         data = raw.encode("utf-8") if isinstance(raw, str) else raw
-        where = ""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusDecodeError(
-            f"{where}invalid UTF-8 at byte offset {exc.start}: {exc.reason}",
+            f"{source_prefix(source)}invalid UTF-8 at byte offset {exc.start}: {exc.reason}",
             exc.start,
         ) from None
     if text.startswith(_BOM):

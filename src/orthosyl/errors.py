@@ -4,6 +4,7 @@ Every data-level failure raises a subclass of :class:`OrthosylError` so the
 CLI can map them uniformly to exit status 1.
 """
 
+from pathlib import PurePath
 from typing import Callable, Iterable, Iterator, NoReturn, Sized
 
 
@@ -73,21 +74,27 @@ def check_aligned(**corpora: Sized) -> None:
         )
 
 
-def attach_line(exc: OrthosylError, lineno: int) -> OrthosylError:
+def source_prefix(source: object) -> str:
+    """The "PATH: " that opens an error in a file read by path; "" for a stream."""
+    return f"{source}: " if isinstance(source, (str, PurePath)) else ""
+
+
+def attach_line(exc: OrthosylError, lineno: int, source: object = None) -> OrthosylError:
     """Attach a per-line error's 1-based line number and return the error.
 
-    The message gains a "line N: " prefix and the exception a `lineno`
-    attribute. It stays the same object, so its type and every other
-    attribute (CorpusDecodeError.byte_offset, say) survive.
+    The message gains a "line N: " prefix, after source_prefix(source),
+    and the exception a `lineno` attribute. It stays the same object, so
+    its type and every other attribute (CorpusDecodeError.byte_offset,
+    say) survive.
     """
     exc.lineno = lineno
-    exc.args = (f"line {lineno}: {exc}",)
+    exc.args = (f"{source_prefix(source)}line {lineno}: {exc}",)
     return exc
 
 
-def raise_at_line(exc: OrthosylError, lineno: int) -> NoReturn:
+def raise_at_line(exc: OrthosylError, lineno: int, source: object = None) -> NoReturn:
     """Raise a per-line error with its line number attached (see attach_line)."""
-    raise attach_line(exc, lineno) from None
+    raise attach_line(exc, lineno, source) from None
 
 
 def map_lines(fn: Callable[[str], object], lines: Iterable[str]) -> Iterator:

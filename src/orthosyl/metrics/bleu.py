@@ -33,6 +33,9 @@ from typing import Callable, Iterable, Sequence
 from ..errors import EmptyInputError, ParameterError, check_aligned
 
 DEFAULT_MAX_N = 4
+# No line is that long in practice, and an order longer than every line has
+# no n-grams, so its precision and the corpus score are 0 anyway.
+MAX_N_CEILING = 1000
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,11 @@ def _tokenize(line: str) -> list[str]:
 
 
 def check_max_n(max_n: int) -> int:
-    """Return the highest n-gram order if it is at least 1; else ParameterError."""
+    """Return the highest n-gram order if it is in 1..MAX_N_CEILING; else ParameterError."""
     if max_n < 1:
         raise ParameterError(f"max_n must be >= 1, got {max_n}")
+    if max_n > MAX_N_CEILING:
+        raise ParameterError(f"max_n must be <= {MAX_N_CEILING}, got {max_n}")
     return max_n
 
 

@@ -110,10 +110,6 @@ _CYRILLIC_VOWELS = frozenset("аеёиоуыэюяіїєѣѵѫ")
 # every table classifies them as other signs.
 _UNIVERSAL_SIGNS = frozenset({"‌", "‍"})
 
-# classify's default, bound once: an Enum member lookup costs more than the
-# dict lookup it would default.
-_NON_SCRIPT = CharClass.NON_SCRIPT
-
 
 def _expand(spec: dict) -> dict:
     """Expand {offset-or-(lo,hi): class} into a flat offset -> class map."""
@@ -235,7 +231,7 @@ class ScriptTable:
             self.class_by_offset[ord(ch) - self.block_start] = CharClass.OTHER_SIGN
 
     def classify(self, ch: str) -> CharClass:
-        return self.class_by_offset.get(ord(ch) - self.block_start, _NON_SCRIPT)
+        return self.class_by_offset.get(ord(ch) - self.block_start, CharClass.NON_SCRIPT)
 
     def is_plosive(self, ch: str) -> bool:
         return (ord(ch) - self.block_start) in self.plosive_offsets

@@ -129,7 +129,8 @@ class MorphLexicon:
 
         Lines end at LF only, one trailing CR is stripped, every line is
         NFC-normalized, and invalid UTF-8 raises CorpusDecodeError naming
-        the byte offset. Empty lines are skipped.
+        the byte offset. Empty lines are skipped. A malformed entry raises
+        LexiconFormatError naming the path and the line.
         """
         from .corpus import load_corpus  # corpus imports this module
 
@@ -143,7 +144,7 @@ class MorphLexicon:
                     raise LexiconFormatError(f"expected 'word TAB segments', got {line!r}")
                 lexicon.add(word, rest.split())
             except LexiconFormatError as exc:
-                raise_at_line(exc, lineno)
+                raise_at_line(exc, lineno, path)
         return lexicon
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from lcs_oracle import brute_force_lcs  # noqa: E402
 from textgen import hindi_like_corpus, random_sentences  # noqa: E402
 
 from orthosyl.corpus import load_corpus, vocab_stats  # noqa: E402
@@ -100,17 +101,6 @@ def test_criterion_2_round_trip(family):
         f"round trip [{family}]",
         f"10,000 sentences x {len(SCHEMES)} schemes, zero failures",
     )
-
-
-def brute_force_lcs(a: str, b: str) -> int:
-    if len(a) > len(b):
-        a, b = b, a
-    for length in range(len(a), 0, -1):
-        for combo in itertools.combinations(a, length):
-            it = iter(b)
-            if all(ch in it for ch in combo):
-                return length
-    return 0
 
 
 def test_criterion_3_lcs_oracle():

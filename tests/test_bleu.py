@@ -68,6 +68,8 @@ def test_corpus_level_pooling():
 def test_max_n_parameter():
     with pytest.raises(ParameterError):
         bleu(["a"], ["a"], max_n=0)
+    with pytest.raises(ParameterError, match="<= 1000"):
+        bleu(["a"], ["a"], max_n=10**14)
 
 
 def test_alignment_error():

@@ -55,11 +55,8 @@ class TestSegmentDesegment:
     def test_pipe_identity_all_subword_schemes(self):
         lines = "राजू , घराबाहेर जाऊ नको .\nmumbai is a city\nпривет мир\n"
         for unit in ("char", "char-ngram=3", "os", "morph"):
-            argv = ["segment", "--unit", unit]
-            if unit == "morph":
-                # no lexicon: words pass through whole but still get markers
-                pass
-            _, segmented = invoke(argv, lines)
+            # morph has no lexicon here: words pass through whole but still get markers
+            _, segmented = invoke(["segment", "--unit", unit], lines)
             status, restored = invoke(["desegment"], segmented)
             assert status == 0
             assert restored == lines
@@ -404,6 +401,7 @@ class TestContract:
         (["desegment", "--marker", " "], "--marker"),
         (["nbest-rescore", "--nbest", "no-such-file", "--ref", "no-such-file", "--marker", "ab"],
          "--marker"),
+        (["score", "--metric", "bleu", "--max-n", "100000000000000"], "--max-n"),
     ])
     def test_out_of_range_option_exit_2(self, argv, option, tmp_path, capsys):
         # a usage error, raised before any input is read: the named files
@@ -546,9 +544,12 @@ def _per_line_error(case, tmp_path, capsys, extra=()):
 def test_per_line_error_names_its_line_once(case, tmp_path, capsys):
     status, out, err, lineno = _per_line_error(case, tmp_path, capsys)
     command = PER_LINE_ERRORS[case][0][0]
+    # a lexicon error names the lexicon file, so its line is not read as stdin's
+    where = f"{tmp_path / 'lex'}: " if case.startswith("lexicon") else ""
     assert status == 1
     assert out.count("\n") < lineno  # line-streaming commands write the lines before it
-    assert err.startswith(f"orthosyl {command}: error: line {lineno}: ") and err.endswith("\n")
+    assert err.startswith(f"orthosyl {command}: error: {where}line {lineno}: ")
+    assert err.endswith("\n")
     assert err.count("\n") == 1
     assert re.findall(r"line \d+: ", err) == [f"line {lineno}: "], err
 

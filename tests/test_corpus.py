@@ -109,6 +109,9 @@ class TestWrite:
         src.write_text(payload, encoding="utf-8")
         write_corpus(load_corpus(src), dst)
         assert dst.read_bytes() == src.read_bytes()
+        stream = io.StringIO()
+        write_corpus(load_corpus(src), stream)
+        assert stream.getvalue() == payload
 
     def test_empty_corpus_writes_empty_file(self, tmp_path):
         dst = tmp_path / "out.txt"

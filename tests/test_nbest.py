@@ -108,6 +108,12 @@ def test_missing_reference_names_its_nbest_line():
         rescore_nbest(nbest, ["a"])
     assert info.value.lineno == 3
     assert str(info.value) == "line 3: sentence id 3 has no reference (got 1 reference lines)"
+    # an entry a library caller built has no line to name: the error is unchanged
+    built = NBestList((NBestEntry(3, ("b",), "f", 1.0),))
+    with pytest.raises(AlignmentError) as info:
+        rescore_nbest(built, ["a"])
+    assert not hasattr(info.value, "lineno")
+    assert str(info.value) == "sentence id 3 has no reference (got 1 reference lines)"
 
 
 def test_malformed_marker_stream_names_its_nbest_line():

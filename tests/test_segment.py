@@ -54,6 +54,8 @@ class TestUnitScheme:
     def test_ngram_needs_n_at_least_2(self):
         with pytest.raises(ParameterError):
             UnitScheme.char_ngram(1)
+        with pytest.raises(ParameterError, match="takes no n parameter"):
+            UnitScheme("word", 3)
 
     def test_str(self):
         assert str(UnitScheme.char_ngram(3)) == "char-ngram=3"
@@ -200,7 +202,7 @@ class TestMorphLexicon:
         with pytest.raises(LexiconFormatError) as info:
             MorphLexicon.load(str(path))
         assert info.value.lineno == 3
-        assert str(info.value) == "line 3: expected 'word TAB segments', got 'abc'"
+        assert str(info.value) == f"{path}: line 3: expected 'word TAB segments', got 'abc'"
 
 
 class TestTokenize:
