@@ -208,7 +208,7 @@ def _cmd_score(args, stdin):
         delta = DEFAULT_DELTA if args.delta is None else args.delta
         report = metrics.lebleu_report(hyps, refs, delta=delta, max_n=args.max_n)
         label = "Le-BLEU"
-    yield f"{label} = {report.score:.2f}"
+    # the report first: a run that cannot write it prints no score
     if args.report:
         lines = [
             f"metric = {args.metric}",
@@ -226,10 +226,11 @@ def _cmd_score(args, stdin):
         if args.metric == "lebleu":
             lines.append(f"delta = {delta}")
         corpus_io.write_corpus(lines, args.report)
+    yield f"{label} = {report.score:.2f}"
 
 
 def _cmd_nbest_rescore(args, stdin):
-    nbest = metrics.parse_nbest(corpus_io.load_corpus(args.nbest))
+    nbest = metrics.parse_nbest(corpus_io.load_corpus(args.nbest), args.nbest)
     refs = corpus_io.load_corpus(args.ref)
     yield from metrics.rescore_nbest(nbest, refs, marker=args.marker).format_lines()
 

@@ -43,7 +43,9 @@ def load_corpus(source: str | Path | IO) -> list[str]:
         data = Path(source).read_bytes()
     else:
         raw = source.read()
-        data = raw.encode("utf-8") if isinstance(raw, str) else raw
+        # surrogatepass: a lone surrogate (a surrogateescape stream's
+        # invalid byte) reaches the decode below, which names its offset
+        data = raw.encode("utf-8", "surrogatepass") if isinstance(raw, str) else raw
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

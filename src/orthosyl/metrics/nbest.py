@@ -46,13 +46,18 @@ class NBestEntry:
 @dataclass(frozen=True)
 class NBestList:
     entries: tuple[NBestEntry, ...]
+    source: object = field(default=None, compare=False)  # the parsed file, for errors
 
     def format_lines(self) -> list[str]:
         return [entry.format() for entry in self.entries]
 
 
-def parse_nbest(lines: Iterable[str]) -> NBestList:
-    """Parse n-best lines, enforcing nondecreasing sentence ids."""
+def parse_nbest(lines: Iterable[str], source: object = None) -> NBestList:
+    """Parse n-best lines, enforcing nondecreasing sentence ids.
+
+    `source`, the path the lines were read from, opens each error's message
+    (see errors.attach_line) and is kept on the list for rescore_nbest's.
+    """
     entries: list[NBestEntry] = []
     last_id = None
     for lineno, line in enumerate(lines, start=1):
@@ -63,16 +68,16 @@ def parse_nbest(lines: Iterable[str]) -> NBestList:
         if len(fields) != 4:
             raise_at_line(MalformedStreamError(
                 f"expected 4 ' ||| '-separated fields, got {len(fields)}"
-            ), lineno)
+            ), lineno, source)
         try:
             sentence_id = int(fields[0].strip())
             model_score = float(fields[3].strip())
         except ValueError as exc:
-            raise_at_line(MalformedStreamError(str(exc)), lineno)
+            raise_at_line(MalformedStreamError(str(exc)), lineno, source)
         if last_id is not None and sentence_id < last_id:
             raise_at_line(MalformedStreamError(
                 f"sentence ids must be nondecreasing ({sentence_id} after {last_id})"
-            ), lineno)
+            ), lineno, source)
         last_id = sentence_id
         entries.append(
             NBestEntry(
@@ -84,7 +89,7 @@ def parse_nbest(lines: Iterable[str]) -> NBestList:
                 lineno=lineno,
             )
         )
-    return NBestList(tuple(entries))
+    return NBestList(tuple(entries), source)
 
 
 def rescore_nbest(
@@ -97,7 +102,7 @@ def rescore_nbest(
 
     Each entry's tokens are desegmented to words via the boundary marker and
     scored against the word-level reference with the same sentence id. Errors
-    name the entry's line if parse_nbest read it.
+    name the entry's line, and the list's source, if parse_nbest read it.
     """
     rescored: list[NBestEntry] = []
     ref_id, ref_words = None, ()
@@ -115,9 +120,9 @@ def rescore_nbest(
         except OrthosylError as exc:
             if entry.lineno is None:
                 raise
-            raise_at_line(exc, entry.lineno)
+            raise_at_line(exc, entry.lineno, nbest.source)
         score = sentence_bleu_smoothed(words, ref_words, max_n=max_n)
         # positional, in field order: a direct call costs half of dataclasses.replace
         rescored.append(NBestEntry(sentence_id, entry.tokens, entry.features,
                                    entry.model_score, score, entry.score_text, entry.lineno))
-    return NBestList(tuple(rescored))
+    return NBestList(tuple(rescored), nbest.source)

@@ -1,5 +1,11 @@
 """Code-point classification for the supported scripts.
 
+Each script has one table, `ScriptTable.letters`: a map from code point to
+class letter, one letter per class the program tells apart (see
+`_CLASS_OF_LETTER`). It is the str.translate table that the syllabify
+grammar runs on, and `classify`, `is_plosive` and script detection read it
+too.
+
 The nine supported Indic blocks (Devanagari .. Malayalam) share the
 ISCII-derived layout, so one canonical offset -> class map is authored once
 and instantiated per 128-code-point block. Offsets that are unassigned in a
@@ -7,11 +13,10 @@ given script fall out automatically (checked against unicodedata); offsets
 whose character deviates from the shared layout are patched by a small
 per-script exception table.
 
-Latin and Cyrillic are alphabetic: their letter ranges are mapped the same
-way, offset -> consonant or vowel, with the case-folded vowel rule applied
-once per code point when the table is built. So all eleven tables are
-offset maps built at import, and classification and script detection are
-one dict lookup per code point.
+Latin and Cyrillic are alphabetic: each letter of their ranges is a
+consonant or a vowel, by the case-folded vowel rule applied once per code
+point when the table is built. So all eleven tables are built at import,
+and classification and script detection are dict lookups per code point.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ _LATIN_VOWELS = frozenset(
 _CYRILLIC_VOWELS = frozenset("аеёиоуыэюяіїєѣѵѫ")
 
 # Zero-width joiner / non-joiner attach to the current unit in any script:
-# every table classifies them as other signs.
+# every table gives them the letter U, an other sign.
 _UNIVERSAL_SIGNS = frozenset({"‌", "‍"})
 
 
@@ -214,49 +219,73 @@ _PLOSIVE_OFFSETS = frozenset(
 )
 
 
+# Class letter -> the class it stands for. P is a plosive consonant, U is
+# ZWJ or ZWNJ and x a code point the script does not know; the syllabify
+# grammar runs on the letters.
+_CLASS_OF_LETTER = {
+    "C": CharClass.CONSONANT,
+    "P": CharClass.CONSONANT,
+    "N": CharClass.NUKTA,
+    "H": CharClass.HALANTA,
+    "U": CharClass.OTHER_SIGN,
+    "M": CharClass.DEPENDENT_VOWEL,
+    "V": CharClass.INDEPENDENT_VOWEL,
+    "A": CharClass.ANUSVARA,
+    "B": CharClass.CHANDRABINDU,
+    "S": CharClass.VISARGA,
+    "O": CharClass.OTHER_SIGN,
+    "x": CharClass.NON_SCRIPT,
+}
+# The letter of an authored class; P, U and x are set by the builders.
+_LETTER_OF_CLASS = {
+    cls: letter for letter, cls in _CLASS_OF_LETTER.items() if letter not in "PUx"
+}
+
+
 @dataclass(frozen=True)
 class ScriptTable:
-    """Immutable per-script classification table."""
+    """Immutable per-script classification table.
+
+    `letters` maps each code point the script knows, ZWJ and ZWNJ, and the
+    class letters themselves to a class letter. A class letter maps to x
+    unless the script owns it, so input text never passes for a class; a
+    code point missing from the map is x.
+    """
 
     script: ScriptId
     block_start: int
     block_end: int
-    class_by_offset: dict = field(repr=False)
-    plosive_offsets: frozenset = field(repr=False)
+    letters: dict = field(repr=False)
     vowel_set: frozenset = field(repr=False)
 
-    def __post_init__(self):
-        # the joiners lie outside every block but are signs in all of them
-        for ch in _UNIVERSAL_SIGNS:
-            self.class_by_offset[ord(ch) - self.block_start] = CharClass.OTHER_SIGN
-
     def classify(self, ch: str) -> CharClass:
-        return self.class_by_offset.get(ord(ch) - self.block_start, CharClass.NON_SCRIPT)
+        return _CLASS_OF_LETTER[self.letters.get(ord(ch), "x")]
 
     def is_plosive(self, ch: str) -> bool:
-        return (ord(ch) - self.block_start) in self.plosive_offsets
+        return self.letters.get(ord(ch)) == "P"
+
+
+def _table(script: ScriptId, start: int, end: int, known: dict[int, str],
+           vowel_set: frozenset = frozenset()) -> ScriptTable:
+    """A table of the block start..end (inclusive) whose letters are
+    `known`, over the class letters as x and under ZWJ/ZWNJ as U."""
+    letters = dict.fromkeys(map(ord, _CLASS_OF_LETTER), "x")
+    letters.update(known)
+    letters.update(dict.fromkeys(map(ord, _UNIVERSAL_SIGNS), "U"))
+    return ScriptTable(script, start, end, letters, vowel_set)
 
 
 def _build_indic_table(script: ScriptId) -> ScriptTable:
     start = _INDIC_BLOCKS[script]
     exceptions = _EXCEPTIONS[script]
-    class_by_offset = {}
+    known = {}
     for off in range(_BLOCK_SIZE):
         if unicodedata.category(chr(start + off)) == "Cn":
             continue  # unassigned in this script
-        class_by_offset[off] = exceptions.get(off, _CANONICAL[off])
-    plosives = frozenset(
-        off for off in _PLOSIVE_OFFSETS
-        if class_by_offset.get(off) is CharClass.CONSONANT
-    )
-    return ScriptTable(
-        script=script,
-        block_start=start,
-        block_end=start + _BLOCK_SIZE - 1,
-        class_by_offset=class_by_offset,
-        plosive_offsets=plosives,
-        vowel_set=frozenset(),
-    )
+        cls = exceptions.get(off, _CANONICAL[off])
+        plosive = cls is CharClass.CONSONANT and off in _PLOSIVE_OFFSETS
+        known[start + off] = "P" if plosive else _LETTER_OF_CLASS[cls]
+    return _table(script, start, start + _BLOCK_SIZE - 1, known)
 
 
 def _is_alpha_vowel(letter: str, vowels: frozenset[str]) -> bool:
@@ -268,24 +297,12 @@ def _is_alpha_vowel(letter: str, vowels: frozenset[str]) -> bool:
 def _build_alpha_table(script: ScriptId) -> ScriptTable:
     ranges = _LATIN_RANGES if script is ScriptId.LATIN else _CYRILLIC_RANGES
     vowels = _LATIN_VOWELS if script is ScriptId.LATIN else _CYRILLIC_VOWELS
-    start = ranges[0][0]
-    class_by_offset = {
-        cp - start: (
-            CharClass.INDEPENDENT_VOWEL
-            if _is_alpha_vowel(chr(cp), vowels)
-            else CharClass.CONSONANT
-        )
+    known = {
+        cp: "V" if _is_alpha_vowel(chr(cp), vowels) else "C"
         for lo, hi in ranges
         for cp in range(lo, hi + 1)
     }
-    return ScriptTable(
-        script=script,
-        block_start=start,
-        block_end=ranges[-1][1],
-        class_by_offset=class_by_offset,
-        plosive_offsets=frozenset(),
-        vowel_set=vowels,
-    )
+    return _table(script, ranges[0][0], ranges[-1][1], known, vowels)
 
 
 TABLES: dict[ScriptId, ScriptTable] = {
@@ -299,10 +316,10 @@ SUPPORTED_SCRIPTS = tuple(TABLES)
 # Letter -> the one script whose table classifies it as a letter (the
 # blocks are disjoint, so there is never a second one).
 _SCRIPT_OF_LETTER = {
-    chr(table.block_start + off): script
+    chr(cp): script
     for script, table in TABLES.items()
-    for off, cls in table.class_by_offset.items()
-    if cls in LETTER_CLASSES
+    for cp, letter in table.letters.items()
+    if _CLASS_OF_LETTER[letter] in LETTER_CLASSES
 }
 
 

@@ -3,13 +3,14 @@ r"""Orthographic-syllable segmentation of single words.
 An orthographic syllable is a consonant-vowel chunk of written text: a run
 of consonants plus the vowel that follows it. The definition is a grammar
 over class letters: each code point of the (NFC) word maps to one letter
-through its script's table (C consonant, P plosive, N nukta, H halanta,
-U ZWJ/ZWNJ, M dependent vowel, V independent vowel, A anusvara or
-chandrabindu, x any other code point the table knows), and one regular
-expression per script family splits that string into units:
+through its script's table, `ScriptTable.letters`, which `scripts.py`
+builds (C consonant, P plosive consonant, N nukta, H halanta, U ZWJ/ZWNJ,
+M dependent vowel, V independent vowel, A anusvara, B chandrabindu,
+S visarga, O other sign, x a code point the script does not know), and one
+regular expression per script family splits that string into units:
 
-    abugida     [^CPVM]*(?:[CP]N*(?:HU*[CP]N*)*(?:HU*|M?(?:A(?!P))?)
-                |[VM](?:A(?!P))?)[^CPNHMVA]*|[^CPVM]+
+    abugida     [^CPVM]*(?:[CP]N*(?:HU*[CP]N*)*(?:HU*|M?(?:[AB](?!P))?)
+                |[VM](?:[AB](?!P))?)[^CPNHMVAB]*|[^CPVM]+
     alphabetic  [^V]*V+(?:[^V]+\Z)?|[^V]+
 
 The units are the slices of the word that the matches cover, and a unit's
@@ -29,16 +30,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import EmptyInputError, MixedScriptError, UnsupportedScriptError
-from .scripts import (
-    TABLES,
-    CharClass,
-    ScriptId,
-    ScriptTable,
-    _UNIVERSAL_SIGNS,
-    _is_alpha_vowel,
-    detect_script,
-    get_table,
-)
+from .scripts import TABLES, ScriptId, _is_alpha_vowel, detect_script, get_table
 
 
 class OSKind(Enum):
@@ -64,38 +56,10 @@ class OrthoSyllable(NamedTuple):
 _new = tuple.__new__
 
 
-# Class letters (see the module docstring) by table class; a consonant in
-# `plosive_offsets` is P, and ZWJ/ZWNJ are U. A code point that the table
-# does not know stays itself, and the class letters themselves map to x, so
-# input text can never pass for a class.
-_LETTER_OF_CLASS = {
-    CharClass.CONSONANT: "C",
-    CharClass.NUKTA: "N",
-    CharClass.HALANTA: "H",
-    CharClass.DEPENDENT_VOWEL: "M",
-    CharClass.INDEPENDENT_VOWEL: "V",
-    CharClass.ANUSVARA: "A",
-    CharClass.CHANDRABINDU: "A",
-}
-
-
-def _class_letters(table: ScriptTable) -> dict[int, str]:
-    """A str.translate table from code point to class letter."""
-    letters = dict.fromkeys(map(ord, "CPNHUMVAx"), "x")
-    for off, cls in table.class_by_offset.items():
-        letter = "P" if off in table.plosive_offsets else _LETTER_OF_CLASS.get(cls, "x")
-        letters[table.block_start + off] = letter
-    for ch in _UNIVERSAL_SIGNS:
-        letters[ord(ch)] = "U"
-    return letters
-
-
-_CLASS_LETTERS = {script: _class_letters(table) for script, table in TABLES.items()}
-
 # One orthographic syllable per match, by the rules that the syllabify_indic
 # and syllabify_alpha docstrings give.
 _INDIC_UNIT = re.compile(
-    r"[^CPVM]*(?:[CP]N*(?:HU*[CP]N*)*(?:HU*|M?(?:A(?!P))?)|[VM](?:A(?!P))?)[^CPNHMVA]*"
+    r"[^CPVM]*(?:[CP]N*(?:HU*[CP]N*)*(?:HU*|M?(?:[AB](?!P))?)|[VM](?:[AB](?!P))?)[^CPNHMVAB]*"
     r"|[^CPVM]+"
 )
 _ALPHA_UNIT = re.compile(r"[^V]*V+(?:[^V]+\Z)?|[^V]+")
@@ -106,6 +70,7 @@ _KIND_OF_FIRST = {
     "C": OSKind.CONSONANT_CORE,
     "P": OSKind.CONSONANT_CORE,
     "A": OSKind.NASAL_CONSONANT,
+    "B": OSKind.NASAL_CONSONANT,
     "V": OSKind.INDEPENDENT_VOWEL,
 }
 # syllabify tests every word against it and `_units` names the two kinds
@@ -166,7 +131,7 @@ def syllabify_indic(word: str, script: ScriptId) -> list[OrthoSyllable]:
     consonant, else IndependentVowel if it starts with one, else Other.
     """
     word = _checked_word(word, script, "is_abugida")
-    classes = word.translate(_CLASS_LETTERS[script])
+    classes = word.translate(TABLES[script].letters)
     return _units(word, _INDIC_UNIT.findall(classes), "CP")
 
 
@@ -190,7 +155,7 @@ def syllabify_alpha(
     ConsonantCore if it holds a vowel or consonant, else Other.
     """
     word = _checked_word(word, script, "is_alphabetic")
-    letters = _CLASS_LETTERS[script]
+    letters = TABLES[script].letters
     if vowels is not None:
         # reclassify the word's own letters (C or V) under the override
         vowels = frozenset(vowels)

@@ -5,7 +5,6 @@ criterion with the measured values.
 """
 
 import itertools
-import math
 import random
 import subprocess
 import sys
@@ -16,6 +15,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from lcs_oracle import brute_force_lcs  # noqa: E402
+from pearson_oracle import pearson_oracle  # noqa: E402
 from textgen import hindi_like_corpus, random_sentences  # noqa: E402
 
 from orthosyl.corpus import load_corpus, vocab_stats  # noqa: E402
@@ -166,15 +166,6 @@ def test_criterion_4_metric_identities():
 
 
 def test_criterion_5_correlation_oracle():
-    def oracle(xs, ys):
-        # two-pass: means first, then exactly-summed centered products
-        n = len(xs)
-        mx, my = math.fsum(xs) / n, math.fsum(ys) / n
-        sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-        sxx = math.fsum((x - mx) ** 2 for x in xs)
-        syy = math.fsum((y - my) ** 2 for y in ys)
-        return sxy / math.sqrt(sxx * syy)
-
     assert pearson([1, 2, 3], [2, 4, 6]) == 1.0
     assert pearson([1, 2, 3], [3, 2, 1]) == -1.0
 
@@ -186,7 +177,7 @@ def test_criterion_5_correlation_oracle():
         ys = [rng.uniform(-10, 10) for _ in range(n)]
         if len(set(xs)) == 1 or len(set(ys)) == 1:
             continue
-        assert pearson(xs, ys) == pytest.approx(oracle(xs, ys), abs=1e-12)
+        assert pearson(xs, ys) == pytest.approx(pearson_oracle(xs, ys), abs=1e-12)
         checked += 1
     report(5, "correlation oracle", "1,000 random vectors within 1e-12, ±1 exact")
 

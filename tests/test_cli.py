@@ -189,6 +189,17 @@ class TestMetricsCommands:
         assert "total_1 = 7" in reports["bleu"]
         assert "total_2 = 5" in reports["bleu"]
 
+    def test_unwritable_report_prints_no_score(self, tmp_path, capsys):
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("a b\n", encoding="utf-8")
+        status, out = invoke(["score", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(hyp),
+                              "--report", str(tmp_path / "missing" / "r.txt")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert out == ""
+        assert err.startswith("orthosyl score: error: ")
+        assert err.count("\n") == 1
+
     def test_score_bleu_rejects_delta(self, tmp_path):
         hyp = tmp_path / "h.txt"
         hyp.write_text("a b\n", encoding="utf-8")
@@ -544,8 +555,11 @@ def _per_line_error(case, tmp_path, capsys, extra=()):
 def test_per_line_error_names_its_line_once(case, tmp_path, capsys):
     status, out, err, lineno = _per_line_error(case, tmp_path, capsys)
     command = PER_LINE_ERRORS[case][0][0]
-    # a lexicon error names the lexicon file, so its line is not read as stdin's
-    where = f"{tmp_path / 'lex'}: " if case.startswith("lexicon") else ""
+    # an error in a file read by path names the file: a lexicon line is not
+    # read as stdin's, nor an n-best line as the reference's
+    named = {"lexicon": "lex", "nbest": "nbest", "rescore": "nbest"}
+    source = named.get(case.split()[0])
+    where = f"{tmp_path / source}: " if source else ""
     assert status == 1
     assert out.count("\n") < lineno  # line-streaming commands write the lines before it
     assert err.startswith(f"orthosyl {command}: error: {where}line {lineno}: ")

@@ -79,6 +79,23 @@ class TestLoad:
     def test_stream_input(self):
         assert load_corpus(io.StringIO("a\nb\n")) == ["a", "b"]
 
+    def test_lone_surrogate_in_text_stream_names_offset(self):
+        with pytest.raises(CorpusDecodeError) as exc_info:
+            load_corpus(io.StringIO("a\ud800b\n"))
+        assert exc_info.value.byte_offset == 1
+
+    def test_surrogateescape_stream_offset_matches_binary(self):
+        # an invalid byte read through surrogateescape fails at the same
+        # offset as the byte itself in a binary stream
+        data = b"ok\n\xffz\n"
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        offsets = []
+        for stream in (text, io.BytesIO(data)):
+            with pytest.raises(CorpusDecodeError) as exc_info:
+                load_corpus(stream)
+            offsets.append(exc_info.value.byte_offset)
+        assert offsets == [3, 3]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_bytes(b"")

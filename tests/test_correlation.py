@@ -1,22 +1,12 @@
 """Pearson correlation against a direct-formula oracle."""
 
-import math
 import random
 
 import pytest
 
 from orthosyl.errors import AlignmentError, ParameterError, UndefinedCorrelationError
 from orthosyl.metrics import pearson, similarity_correlation
-
-
-def pearson_oracle(xs, ys):
-    """Independent two-pass formula with exact summation."""
-    n = len(xs)
-    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
-    return sxy / math.sqrt(sxx * syy)
+from pearson_oracle import pearson_oracle
 
 
 def test_exact_positive():

@@ -46,9 +46,10 @@ def _by_class(script) -> dict[CharClass, list[str]]:
     """The script's code points by table class, each NFC-stable on its own."""
     table = TABLES[script]
     out: dict[CharClass, list[str]] = {}
-    for off, cls in sorted(table.class_by_offset.items()):
-        ch = chr(table.block_start + off)
-        if ch not in _JOINERS and unicodedata.is_normalized("NFC", ch):
+    for ch in map(chr, sorted(table.letters)):
+        cls = table.classify(ch)
+        if (cls is not CharClass.NON_SCRIPT and ch not in _JOINERS
+                and unicodedata.is_normalized("NFC", ch)):
             out.setdefault(cls, []).append(ch)
     return out
 
@@ -59,8 +60,7 @@ class IndicGenerator:
         classes = _by_class(script)
         self.rng = rng
         self.consonants = classes[CharClass.CONSONANT]
-        self.plosives = [ch for ch in self.consonants
-                         if ord(ch) - table.block_start in table.plosive_offsets]
+        self.plosives = [ch for ch in self.consonants if table.is_plosive(ch)]
         self.nuktas = classes.get(CharClass.NUKTA, [])
         self.halantas = classes[CharClass.HALANTA]
         self.matras = classes[CharClass.DEPENDENT_VOWEL]

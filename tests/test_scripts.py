@@ -22,6 +22,14 @@ from orthosyl.scripts import (
 INDIC = [s for s in SUPPORTED_SCRIPTS if s.is_abugida]
 
 
+def _block_classes(table):
+    """(code point, class) for each code point of the table's block that it classifies."""
+    for cp in range(table.block_start, table.block_end + 1):
+        cls = table.classify(chr(cp))
+        if cls is not CharClass.NON_SCRIPT:
+            yield cp, cls
+
+
 @pytest.mark.parametrize(
     "ch,script,want",
     [
@@ -105,9 +113,9 @@ def test_offset_parallelism_devanagari_vs_bengali():
     for off in range(0x80):
         if off in exceptions:
             continue
-        a = dev.class_by_offset.get(off)
-        b = ben.class_by_offset.get(off)
-        if a is not None and b is not None:
+        a = dev.classify(chr(dev.block_start + off))
+        b = ben.classify(chr(ben.block_start + off))
+        if CharClass.NON_SCRIPT not in (a, b):
             assert a is b, f"offset 0x{off:02X}: {a} vs {b}"
 
 
@@ -134,8 +142,7 @@ def test_tables_match_unicode_names():
     """Hand-authored tables agree with the UCD naming conventions."""
     for script in INDIC:
         table = TABLES[script]
-        for off, cls in table.class_by_offset.items():
-            cp = table.block_start + off
+        for cp, cls in _block_classes(table):
             if cp in _NAME_ALLOWLIST:
                 continue
             name = unicodedata.name(chr(cp))
@@ -157,17 +164,19 @@ def test_tables_match_unicode_names():
 def test_dependent_vowels_are_combining_or_spacing_marks():
     for script in INDIC:
         table = TABLES[script]
-        for off, cls in table.class_by_offset.items():
+        for cp, cls in _block_classes(table):
             if cls is CharClass.DEPENDENT_VOWEL:
-                cat = unicodedata.category(chr(table.block_start + off))
-                assert cat in ("Mn", "Mc"), f"U+{table.block_start + off:04X}: {cat}"
+                cat = unicodedata.category(chr(cp))
+                assert cat in ("Mn", "Mc"), f"U+{cp:04X}: {cat}"
 
 
 def test_plosives_are_consonants():
     for script in INDIC:
         table = TABLES[script]
-        for off in table.plosive_offsets:
-            assert table.class_by_offset[off] is CharClass.CONSONANT
+        for cp, letter in table.letters.items():
+            if letter == "P":
+                assert table.block_start <= cp <= table.block_end, f"U+{cp:04X}"
+                assert table.classify(chr(cp)) is CharClass.CONSONANT
 
 
 def test_plosive_rows_devanagari():
