@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import unicodedata
 
 from . import corpus as corpus_io
 from . import metrics
@@ -174,7 +175,9 @@ def _cmd_classify(args, stdin):
     script = args.script
     for line in corpus_io.load_corpus(stdin):
         for ch in line:
-            yield f"{ch}\t{script.value}\t{classify(ch, script).value}"
+            # a whitespace or control code point would split or break the row
+            shown = f"U+{ord(ch):04X}" if ch.isspace() or unicodedata.category(ch) == "Cc" else ch
+            yield f"{shown}\t{script.value}\t{classify(ch, script).value}"
 
 
 def _cmd_lcsr(args, stdin):

@@ -6,17 +6,17 @@ class letter, one letter per class the program tells apart (see
 grammar runs on, and `classify`, `is_plosive` and script detection read it
 too.
 
-The nine supported Indic blocks (Devanagari .. Malayalam) share the
-ISCII-derived layout, so one canonical offset -> class map is authored once
-and instantiated per 128-code-point block. Offsets that are unassigned in a
-given script fall out automatically (checked against unicodedata); offsets
-whose character deviates from the shared layout are patched by a small
-per-script exception table.
-
-Latin and Cyrillic are alphabetic: each letter of their ranges is a
-consonant or a vowel, by the case-folded vowel rule applied once per code
-point when the table is built. So all eleven tables are built at import,
-and classification and script detection are dict lookups per code point.
+The tables hold only what Unicode does not already say. A code point's
+general category decides the non-letters: in an Indic block, an assigned
+code point that is not a letter or mark (L*, M*) is an other sign, and of
+the Latin and Cyrillic ranges only the letters are classified. The rest is
+hand-written. The nine supported Indic blocks (Devanagari .. Malayalam)
+share the ISCII-derived layout, so one canonical offset -> class map of its
+letters and marks is authored once and instantiated per block, and a small
+per-script exception table patches the letters and marks that deviate from
+it. A Latin or Cyrillic letter is a consonant or a vowel by the case-folded
+vowel rule. All eleven tables are built at import, so classification and
+script detection are dict lookups per code point.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ for _script in ScriptId:
     _script.is_alphabetic = _script in (ScriptId.LATIN, ScriptId.CYRILLIC)
 del _script
 
-# Alphabetic letter ranges (inclusive). Latin-1 multiplication and division
-# signs sit inside the letter range and are excluded below.
-_LATIN_RANGES = ((0x41, 0x5A), (0x61, 0x7A), (0xC0, 0xD6), (0xD8, 0xF6), (0xF8, 0x24F))
-_CYRILLIC_RANGES = ((0x400, 0x4FF), (0x500, 0x52F))
+# Alphabetic ranges (inclusive). Only their letters (L*) are classified, not
+# the signs among them: × ÷, Cyrillic's ҂ and its combining marks.
+_LATIN_RANGES = ((0x41, 0x5A), (0x61, 0x7A), (0xC0, 0x24F))
+_CYRILLIC_RANGES = ((0x400, 0x52F),)
 
 _LATIN_VOWELS = frozenset(
     "aeiou"
@@ -131,8 +131,10 @@ def _expand(spec: dict) -> dict:
 
 _C = CharClass
 
-# Canonical map for the shared Indic block layout, authored from the
-# published code charts with Devanagari as the reference block.
+# Canonical map of the letters and marks of the shared Indic block layout,
+# authored from the published code charts with Devanagari as the reference
+# block. An offset it leaves out (avagraha, om, the Vedic tone marks) is an
+# other sign, as is every code point that is not a letter or a mark.
 _CANONICAL = _expand({
     (0x00, 0x01): _C.CHANDRABINDU,
     0x02: _C.ANUSVARA,
@@ -141,58 +143,40 @@ _CANONICAL = _expand({
     (0x15, 0x39): _C.CONSONANT,
     (0x3A, 0x3B): _C.DEPENDENT_VOWEL,
     0x3C: _C.NUKTA,
-    0x3D: _C.OTHER_SIGN,           # avagraha
     (0x3E, 0x4C): _C.DEPENDENT_VOWEL,
     0x4D: _C.HALANTA,
     (0x4E, 0x4F): _C.DEPENDENT_VOWEL,
-    0x50: _C.OTHER_SIGN,           # om
-    (0x51, 0x54): _C.OTHER_SIGN,   # vedic tone/stress marks
     (0x55, 0x57): _C.DEPENDENT_VOWEL,
     (0x58, 0x5F): _C.CONSONANT,    # nukta consonants
     (0x60, 0x61): _C.INDEPENDENT_VOWEL,
     (0x62, 0x63): _C.DEPENDENT_VOWEL,
-    (0x64, 0x65): _C.OTHER_SIGN,   # dandas
-    (0x66, 0x6F): _C.OTHER_SIGN,   # digits
-    (0x70, 0x71): _C.OTHER_SIGN,
     (0x72, 0x77): _C.INDEPENDENT_VOWEL,
     (0x78, 0x7F): _C.CONSONANT,
 })
 
-# Assigned characters that deviate from the canonical layout, per script.
+# Letters and marks that deviate from the canonical layout, per script.
 _EXCEPTIONS: dict[ScriptId, dict] = {
     ScriptId.DEVANAGARI: {},
     ScriptId.BENGALI: _expand({
         0x00: _C.OTHER_SIGN,        # anji
         0x4E: _C.CONSONANT,         # khanda ta
         (0x70, 0x71): _C.CONSONANT, # ra with middle/lower diagonal
-        (0x72, 0x7B): _C.OTHER_SIGN,  # currency marks, isshar, ganda
         0x7C: _C.ANUSVARA,          # vedic anusvara letter
-        (0x7D, 0x7E): _C.OTHER_SIGN,
+        0x7E: _C.OTHER_SIGN,        # sandhi mark
     }),
     ScriptId.GURMUKHI: _expand({
         0x70: _C.ANUSVARA,          # tippi
         0x74: _C.OTHER_SIGN,        # ek onkar
         0x75: _C.OTHER_SIGN,        # yakash
-        0x76: _C.OTHER_SIGN,        # abbreviation sign
     }),
     ScriptId.GUJARATI: _expand({
         (0x7A, 0x7C): _C.OTHER_SIGN,  # sukun/shadda/maddah-style signs
         (0x7D, 0x7F): _C.NUKTA,     # dotted/circled nukta-above marks
     }),
-    ScriptId.ORIYA: _expand({
-        0x71: _C.CONSONANT,         # wa
-        (0x72, 0x77): _C.OTHER_SIGN,  # fraction marks
-    }),
-    ScriptId.TAMIL: _expand({
-        (0x70, 0x7A): _C.OTHER_SIGN,  # tamil numbers and symbols
-    }),
-    ScriptId.TELUGU: _expand({
-        0x04: _C.ANUSVARA,          # combining anusvara above
-        0x77: _C.OTHER_SIGN,        # siddham
-        (0x78, 0x7F): _C.OTHER_SIGN,  # fractions, tuumu
-    }),
+    ScriptId.ORIYA: {0x71: _C.CONSONANT},            # wa
+    ScriptId.TAMIL: {},
+    ScriptId.TELUGU: {0x04: _C.ANUSVARA},            # combining anusvara above
     ScriptId.KANNADA: _expand({
-        0x04: _C.OTHER_SIGN,        # siddham
         (0x71, 0x72): _C.CONSONANT, # jihvamuliya, upadhmaniya
     }),
     ScriptId.MALAYALAM: _expand({
@@ -201,11 +185,8 @@ _EXCEPTIONS: dict[ScriptId, dict] = {
         0x3A: _C.CONSONANT,         # ttta
         (0x3B, 0x3C): _C.HALANTA,   # vertical bar / circular virama
         0x4E: _C.CONSONANT,         # dot reph
-        0x4F: _C.OTHER_SIGN,        # para sign
         (0x54, 0x56): _C.CONSONANT, # chillu m/y/lll
-        (0x58, 0x5E): _C.OTHER_SIGN,  # fractions
         0x5F: _C.INDEPENDENT_VOWEL, # archaic ii
-        (0x72, 0x79): _C.OTHER_SIGN,  # malayalam numbers, fractions, date mark
     }),
 }
 
@@ -280,9 +261,12 @@ def _build_indic_table(script: ScriptId) -> ScriptTable:
     exceptions = _EXCEPTIONS[script]
     known = {}
     for off in range(_BLOCK_SIZE):
-        if unicodedata.category(chr(start + off)) == "Cn":
+        category = unicodedata.category(chr(start + off))
+        if category == "Cn":
             continue  # unassigned in this script
-        cls = exceptions.get(off, _CANONICAL[off])
+        cls = CharClass.OTHER_SIGN  # unless a letter or mark the layout names
+        if category[0] in "LM":
+            cls = exceptions.get(off, _CANONICAL.get(off, cls))
         plosive = cls is CharClass.CONSONANT and off in _PLOSIVE_OFFSETS
         known[start + off] = "P" if plosive else _LETTER_OF_CLASS[cls]
     return _table(script, start, start + _BLOCK_SIZE - 1, known)
@@ -301,6 +285,7 @@ def _build_alpha_table(script: ScriptId) -> ScriptTable:
         cp: "V" if _is_alpha_vowel(chr(cp), vowels) else "C"
         for lo, hi in ranges
         for cp in range(lo, hi + 1)
+        if unicodedata.category(chr(cp))[0] == "L"
     }
     return _table(script, ranges[0][0], ranges[-1][1], known, vowels)
 

@@ -182,7 +182,9 @@ def segment_word(
     morphs: MorphLexicon | None = None,
     script: ScriptId | None = None,
 ) -> list[str]:
-    """Split one word into units; concatenating them restores the word.
+    """Split one word into units; concatenating them restores the word, or
+    for OS units its NFC form (a composition-excluded letter such as U+0958
+    comes back decomposed).
 
     OS units are cached per (word, script) for up to 65,536 words, so a
     repeated word is syllabified once; each call returns a fresh list.

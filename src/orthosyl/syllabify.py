@@ -147,8 +147,8 @@ def syllabify_alpha(
     consonant run attaches to the preceding unit, and a vowel-less word is a
     single unit. Casing is preserved. A letter of the script's ranges is a
     vowel iff the first code point of its case fold is in the vowel set,
-    else a consonant; a code point outside those ranges is never a vowel,
-    even if the set lists it. `vowels`, any iterable of one-character
+    else a consonant; any other code point is never a vowel, even if the
+    set lists it. `vowels`, any iterable of one-character
     strings, overrides the script's own set, `TABLES[script].vowel_set`.
 
     A unit's kind is IndependentVowel if it starts with a vowel, else

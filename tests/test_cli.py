@@ -133,6 +133,12 @@ class TestSyllabifyClassify:
             "ी\tDevanagari\tDependentVowel",
             "q\tDevanagari\tNonScript",
         ]
+        # a tab or CR is written as its code point, so every row keeps three fields
+        status, out = invoke(["classify", "--script", "Latin"], "a\tb\rc\n")
+        assert status == 0
+        rows = [row.split("\t") for row in out.splitlines()]
+        assert all(len(row) == 3 for row in rows), rows
+        assert [row[0] for row in rows] == ["a", "U+0009", "b", "U+000D", "c"]
 
     def test_mixed_script_exit_1(self):
         proc = invoke_process(["syllabify"], "घरmix\n")

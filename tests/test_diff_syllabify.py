@@ -1,10 +1,13 @@
-"""tools/diff_syllabify.py: a copy equals itself, and a changed rule shows."""
+"""tools/diff_syllabify.py: a copy equals itself, a changed rule shows, and
+the words it draws hold every class letter."""
 
 import importlib.util
 import shutil
 from pathlib import Path
 
 import pytest
+
+from orthosyl import scripts
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -37,3 +40,9 @@ def test_a_changed_nasal_rule_is_reported(tmp_path, capsys):
 def test_a_missing_package_is_refused(tmp_path):
     with pytest.raises(SystemExit, match="no orthosyl package"):
         tool.main([str(ROOT / "src"), str(tmp_path)])
+
+
+def test_words_hold_every_class_letter():
+    drawn = set("".join(word for word, _ in tool.words(2000, scripts)))
+    assert len(scripts._CLASS_OF_LETTER) == 12
+    assert set(scripts._CLASS_OF_LETTER) <= drawn

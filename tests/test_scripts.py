@@ -199,6 +199,8 @@ def test_alpha_tables_follow_casefold_vowel_rule():
         for lo, hi in ranges:
             for cp in range(lo, hi + 1):
                 ch = chr(cp)
+                if not unicodedata.category(ch).startswith("L"):
+                    continue  # only the letters of the ranges are classified
                 folded = ch.casefold()
                 want = (
                     CharClass.INDEPENDENT_VOWEL
@@ -206,9 +208,10 @@ def test_alpha_tables_follow_casefold_vowel_rule():
                     else CharClass.CONSONANT
                 )
                 assert table.classify(ch) is want, f"U+{cp:04X} {script}"
-        # multiplication and division signs sit inside the Latin-1 letter range
-        assert table.classify("×") is CharClass.NON_SCRIPT
-        assert table.classify("÷") is CharClass.NON_SCRIPT
+        # signs inside the ranges: Latin-1's multiplication and division
+        # signs, Cyrillic's thousands sign and combining marks
+        for ch in "×÷" + "".join(map(chr, range(0x482, 0x48A))):
+            assert table.classify(ch) is CharClass.NON_SCRIPT, f"U+{ord(ch):04X} {script}"
 
 
 @pytest.mark.parametrize(
@@ -258,6 +261,8 @@ def test_detect_script_mixed():
 def test_detect_script_marks_do_not_decide():
     # Devanagari danda attached to a Bengali word neither decides nor mixes
     assert detect_script("শব্দ।") is ScriptId.BENGALI
+    # nor does a Cyrillic combining titlo on a Devanagari letter
+    assert detect_script("क\u0483") is ScriptId.DEVANAGARI
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,11 @@ class TestSegmentWord:
     def test_concatenation_restores_word(self, scheme):
         for word in (MARATHI_WORD, "mumbai", "x", "प्रत्येक"):
             assert "".join(segment_word(word, scheme)) == word
+        # a composition-excluded letter: OS units concatenate to the NFC form
+        word = "\u0958\u093e"
+        want = "\u0915\u093c\u093e" if scheme.kind == "os" else word
+        assert unicodedata.normalize("NFC", word) == "\u0915\u093c\u093e"
+        assert "".join(segment_word(word, scheme)) == want
 
 
 def _block(lo, hi):

@@ -54,9 +54,12 @@ def load(src: Path, side: str, into: Path):
             for mod in ("scripts", "syllabify", "segment")}
 
 
-def words(count: int, blocks: dict[str, str]):
-    """(word, the script it was drawn from) pairs; `blocks` holds each
-    script's code points by its ScriptId name."""
+def words(count: int, scripts_module):
+    """(word, the name of the script it was drawn from) pairs, drawn from
+    the blocks and class letters of `scripts_module` (an orthosyl.scripts)."""
+    blocks = {script.name: "".join(map(chr, range(table.block_start, table.block_end + 1)))
+              for script, table in scripts_module.TABLES.items()}
+    class_letters = "".join(scripts_module._CLASS_OF_LETTER)
     rng = random.Random(SEED)
     alphabets = [(family.upper(), letters) for family, letters in textgen.ALPHABETS.items()]
     scripts = sorted(blocks)
@@ -77,7 +80,7 @@ def words(count: int, blocks: dict[str, str]):
             elif roll < 0.9:
                 chars.append(rng.choice("\u200c\u200d"))
             elif roll < 0.94:
-                chars.append(rng.choice("CPNHUMVAx"))
+                chars.append(rng.choice(class_letters))
             else:
                 cp = rng.randrange(0x110000)
                 chars.append(chr(cp) if not 0xD800 <= cp <= 0xDFFF else "?")
@@ -125,12 +128,11 @@ def diff(parent: Path, change: Path, count: int = WORDS) -> int:
 
 def compare(mods, count: int) -> tuple[int, int]:
     """(calls compared, mismatches) over `count` seeded words."""
-    blocks = {script.name: "".join(map(chr, range(table.block_start, table.block_end + 1)))
-              for script, table in mods["parent"]["scripts"].TABLES.items()}
-    scripts = sorted(blocks)
+    scripts_module = mods["parent"]["scripts"]
+    scripts = sorted(script.name for script in scripts_module.TABLES)
     rng = random.Random(SEED + 1)
     compared = mismatches = 0
-    for word, home in words(count, blocks):
+    for word, home in words(count, scripts_module):
         other = rng.choice(scripts)
         parent, change = (calls(mods[side], word, home, other) for side in SIDES)
         for (label, want), (_, got) in zip(parent, change):
