@@ -69,8 +69,14 @@ def parse_nbest(lines: Iterable[str], source: object = None) -> NBestList:
             raise_at_line(MalformedStreamError(
                 f"expected 4 ' ||| '-separated fields, got {len(fields)}"
             ), lineno, source)
+        id_text = fields[0].strip()
+        if not (id_text.isascii() and id_text.isdecimal()):
+            # int() would also read 1_0, +3, -1 and non-ASCII digits
+            raise_at_line(MalformedStreamError(
+                f"sentence id must be ASCII decimal digits, got {id_text!r}"
+            ), lineno, source)
+        sentence_id = int(id_text)
         try:
-            sentence_id = int(fields[0].strip())
             model_score = float(fields[3].strip())
         except ValueError as exc:
             raise_at_line(MalformedStreamError(str(exc)), lineno, source)

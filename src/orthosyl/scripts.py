@@ -14,9 +14,10 @@ hand-written. The nine supported Indic blocks (Devanagari .. Malayalam)
 share the ISCII-derived layout, so one canonical offset -> class map of its
 letters and marks is authored once and instantiated per block, and a small
 per-script exception table patches the letters and marks that deviate from
-it. A Latin or Cyrillic letter is a consonant or a vowel by the case-folded
-vowel rule. All eleven tables are built at import, so classification and
-script detection are dict lookups per code point.
+it. The Latin and Cyrillic vowel sets name base letters only (aeiouæœøı,
+аеиоуыэюяієѣѵѫ) and Unicode's canonical decomposition supplies the accented
+vowels (see `_is_alpha_vowel`). All eleven tables are built at import, so
+classification and script detection are dict lookups per code point.
 """
 
 from __future__ import annotations
@@ -100,16 +101,8 @@ del _script
 _LATIN_RANGES = ((0x41, 0x5A), (0x61, 0x7A), (0xC0, 0x24F))
 _CYRILLIC_RANGES = ((0x400, 0x52F),)
 
-_LATIN_VOWELS = frozenset(
-    "aeiou"
-    "àáâãäåāăą"
-    "èéêëēĕėęě"
-    "ìíîïĩīĭįı"
-    "òóôõöøōŏő"
-    "ùúûüũūŭůűų"
-    "æœ"
-)
-_CYRILLIC_VOWELS = frozenset("аеёиоуыэюяіїєѣѵѫ")
+_LATIN_VOWELS = frozenset("aeiouæœøı")
+_CYRILLIC_VOWELS = frozenset("аеиоуыэюяієѣѵѫ")
 
 # Zero-width joiner / non-joiner attach to the current unit in any script:
 # every table gives them the letter U, an other sign.
@@ -273,9 +266,12 @@ def _build_indic_table(script: ScriptId) -> ScriptTable:
 
 
 def _is_alpha_vowel(letter: str, vowels: frozenset[str]) -> bool:
-    """The alphabetic vowel rule: a letter of the script's ranges is a vowel
-    iff the first code point of its case fold is in the vowel set."""
-    return letter.casefold()[:1] in vowels
+    """The alphabetic vowel rule: a letter is a vowel iff the first code point
+    of its case fold, or that code point's NFD base letter, is in the set;
+    short i and u (й, ў) are letters of their own, not и and у with a breve."""
+    first = letter.casefold()[:1]
+    base = unicodedata.normalize("NFD", first)[:1]
+    return first in vowels or (base in vowels and first not in "йў")
 
 
 def _build_alpha_table(script: ScriptId) -> ScriptTable:

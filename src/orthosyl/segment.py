@@ -79,8 +79,8 @@ class UnitScheme:
     def parse(cls, text: str) -> "UnitScheme":
         """Parse a CLI-style scheme name: word|morph|char|char-ngram=N|os."""
         text = text.strip().lower()
-        if text.startswith(_CHAR_NGRAM):
-            _, sep, num = text.partition("=")
+        name, sep, num = text.partition("=")
+        if name == _CHAR_NGRAM:
             if not sep or not num.isdecimal():
                 raise ParameterError(f"expected char-ngram=N, got {text!r}")
             return cls.char_ngram(int(num))

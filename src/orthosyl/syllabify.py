@@ -146,10 +146,12 @@ def syllabify_alpha(
     letters. A word-initial vowel run is its own unit, a word-final
     consonant run attaches to the preceding unit, and a vowel-less word is a
     single unit. Casing is preserved. A letter of the script's ranges is a
-    vowel iff the first code point of its case fold is in the vowel set,
-    else a consonant; any other code point is never a vowel, even if the
-    set lists it. `vowels`, any iterable of one-character
-    strings, overrides the script's own set, `TABLES[script].vowel_set`.
+    vowel iff the first code point of its case fold, or that code point's
+    NFD base letter, is in the vowel set (short i and u, й and ў, only by
+    the first), else a consonant; any other code point is never a vowel,
+    even if the set lists it. `vowels`, any iterable of one-character
+    strings, overrides the script's own set, `TABLES[script].vowel_set`,
+    and names base letters: with set("aeiouy"), "café" is "ca fé".
 
     A unit's kind is IndependentVowel if it starts with a vowel, else
     ConsonantCore if it holds a vowel or consonant, else Other.

@@ -121,10 +121,12 @@ def syllabify_alpha(
     A word-initial vowel run is its own unit, a word-final consonant run
     attaches to the preceding unit, and a vowel-less word is a single unit.
     Casing is preserved. Vowels are the letters that the script's table
-    classifies as vowels (its vowel set, matched case-insensitively), so a
-    code point outside the script's letter ranges is never a vowel. A
-    `vowels` override reclassifies the script's letters only: a letter is a
-    vowel iff its case fold starts with one of `vowels`, else a consonant.
+    classifies as vowels (its vowel set, matched case-insensitively and
+    through accents), so a code point outside the script's letter ranges is
+    never a vowel. A `vowels` override reclassifies the script's letters
+    only: a letter is a vowel iff its case fold starts with one of `vowels`
+    or with a letter whose NFD base letter is one of them (except short i
+    and short u, й and ў), else a consonant.
     """
     if not word:
         raise EmptyInputError("cannot syllabify an empty word")
@@ -138,7 +140,13 @@ def syllabify_alpha(
     if vowels is None:
         vowel = [k is CharClass.INDEPENDENT_VOWEL for k in cls]
     else:
-        vowel = [k in LETTER_CLASSES and ch.casefold()[:1] in vowels for k, ch in zip(cls, word)]
+        vowel = []
+        for k, ch in zip(cls, word):
+            first = ch.casefold()[:1]
+            base = unicodedata.normalize("NFD", first)[:1]
+            vowel.append(k in LETTER_CLASSES and (
+                first in vowels or (first not in "йў" and base in vowels)
+            ))
     units: list[OrthoSyllable] = []
     has_consonant = any(k in LETTER_CLASSES and not v for k, v in zip(cls, vowel))
     i, n = 0, len(word)

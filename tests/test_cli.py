@@ -419,6 +419,8 @@ class TestContract:
         (["nbest-rescore", "--nbest", "no-such-file", "--ref", "no-such-file", "--marker", "ab"],
          "--marker"),
         (["score", "--metric", "bleu", "--max-n", "100000000000000"], "--max-n"),
+        (["segment", "--unit", "char-ngramxyz=2"], "--unit"),
+        (["segment", "--unit", "char-ngrams=2"], "--unit"),
     ])
     def test_out_of_range_option_exit_2(self, argv, option, tmp_path, capsys):
         # a usage error, raised before any input is read: the named files
@@ -451,6 +453,8 @@ class TestContract:
          "--marker", lambda: check_marker("▁", "replace")),
         (["score", "--metric", "bleu", "--max-n", "x"], "--max-n", "invalid int value: 'x'"),
         (["score", "--metric", "lebleu", "--delta", "x"], "--delta", "invalid float value: 'x'"),
+        (["segment", "--unit", "char-ngramxyz=2"], "--unit",
+         lambda: UnitScheme.parse("char-ngramxyz=2")),
     ])
     def test_usage_error_states_the_library_check(self, argv, option, expected, tmp_path, capsys):
         # the message is the library's own, not a copy of its rule; values
@@ -539,6 +543,8 @@ PER_LINE_ERRORS = {
                            "ref": "a\n"}, 2),
     "nbest number": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
                      {"nbest": "0 ||| a ||| f ||| 1\n\n0 ||| a ||| f ||| x\n", "ref": "a\n"}, 3),
+    "nbest id": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
+                 {"nbest": "0 ||| a ||| f ||| 1\n1_0 ||| a ||| f ||| 1\n", "ref": "a\n" * 11}, 2),
     "nbest order": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
                     {"nbest": "1 ||| a ||| f ||| 1\n0 ||| a ||| f ||| 1\n", "ref": "a\nb\n"}, 2),
     "rescore reference": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",

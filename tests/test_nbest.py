@@ -36,6 +36,10 @@ def test_parse_rejects_bad_numbers():
         parse_nbest(["x ||| a ||| f ||| 1.0"])
     with pytest.raises(MalformedStreamError):
         parse_nbest(["0 ||| a ||| f ||| notanumber"])
+    # the sentence id is ASCII decimal digits, not whatever int() reads
+    for sentence_id in ("1_0", "+3", "-1", "\u0663", ""):
+        with pytest.raises(MalformedStreamError, match="line 1: sentence id"):
+            parse_nbest([f"{sentence_id} ||| a ||| f ||| 1.0"])
 
 
 def test_parse_rejects_decreasing_ids():

@@ -201,17 +201,34 @@ def test_alpha_tables_follow_casefold_vowel_rule():
                 ch = chr(cp)
                 if not unicodedata.category(ch).startswith("L"):
                     continue  # only the letters of the ranges are classified
-                folded = ch.casefold()
-                want = (
-                    CharClass.INDEPENDENT_VOWEL
-                    if folded and folded[0] in table.vowel_set
-                    else CharClass.CONSONANT
+                # a vowel iff the case fold starts with a listed vowel or
+                # with an accented one (NFD base listed), short i/u aside
+                first = ch.casefold()[0]
+                base = unicodedata.normalize("NFD", first)[0]
+                vowel = first in table.vowel_set or (
+                    first not in "йў" and base in table.vowel_set
                 )
+                want = CharClass.INDEPENDENT_VOWEL if vowel else CharClass.CONSONANT
                 assert table.classify(ch) is want, f"U+{cp:04X} {script}"
         # signs inside the ranges: Latin-1's multiplication and division
         # signs, Cyrillic's thousands sign and combining marks
         for ch in "×÷" + "".join(map(chr, range(0x482, 0x48A))):
             assert table.classify(ch) is CharClass.NON_SCRIPT, f"U+{ord(ch):04X} {script}"
+    # the accented vowels that the base-letter clause adds, and the letters
+    # that stay as they were: short i and u, and vowels with no decomposition
+    accented = {
+        ScriptId.LATIN: "ƠơƯưǍǎǏǐǑǒǓǔǕǖǗǘǙǚǛǜǞǟǠǡǢǣǪǫǬǭǺǻǼǽǾǿ"
+                        "ȀȁȂȃȄȅȆȇȈȉȊȋȌȍȎȏȔȕȖȗȦȧȨȩȪȫȬȭȮȯȰȱ",
+        ScriptId.CYRILLIC: "ЀЍѐѝѶѷӐӑӒӓӖӗӢӣӤӥӦӧӬӭӮӯӰӱӲӳӸӹ",
+    }
+    assert (len(accented[ScriptId.LATIN]), len(accented[ScriptId.CYRILLIC])) == (68, 28)
+    for script, letters in accented.items():
+        for ch in letters:
+            assert classify(ch, script) is CharClass.INDEPENDENT_VOWEL, f"U+{ord(ch):04X}"
+    for ch in "ЙйЎў":
+        assert classify(ch, ScriptId.CYRILLIC) is CharClass.CONSONANT, f"U+{ord(ch):04X}"
+    for ch in "ØøıÆæŒœ":
+        assert classify(ch, ScriptId.LATIN) is CharClass.INDEPENDENT_VOWEL, f"U+{ord(ch):04X}"
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,10 @@ class TestUnitScheme:
             UnitScheme.parse("bpe")
         with pytest.raises(ParameterError):
             UnitScheme.parse("char-ngram=x")
+        # the name before "=" must be char-ngram itself, not a longer word
+        for text in ("char-ngramxyz=2", "char-ngrams=2"):
+            with pytest.raises(ParameterError):
+                UnitScheme.parse(text)
 
     def test_parse_rejects_digits_int_cannot_read(self):
         # "²".isdigit() holds but int("²") raises ValueError
