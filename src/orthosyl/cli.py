@@ -16,7 +16,7 @@ import unicodedata
 
 from . import corpus as corpus_io
 from . import metrics
-from .errors import OrthosylError, map_lines
+from .errors import OrthosylError, ascii_int, map_lines
 from .metrics.bleu import DEFAULT_MAX_N, check_max_n
 from .metrics.lebleu import DEFAULT_DELTA, check_delta
 from .scripts import SUPPORTED_SCRIPTS, ScriptId, classify, get_table
@@ -49,10 +49,12 @@ _script = _option("script", lambda text: get_table(ScriptId.parse(text)).script)
 _script_or_auto = _option("script", lambda text: None if text.lower() == "auto" else _script(text))
 _unit_scheme = _option("unit", UnitScheme.parse)
 _marker = _option("marker", check_marker)
-_max_n = _option("int", lambda text: check_max_n(int(text)))
+_max_n = _option("int", lambda text: check_max_n(ascii_int(text)))
 _delta = _option("float", lambda text: check_delta(float(text)))
-_sizes = _option("TRAIN,TUNE,TEST",
-                 lambda text: corpus_io.check_split_sizes(tuple(map(int, text.split(",")))))
+# signed: a negative size is the library check's to report
+_sizes = _option("TRAIN,TUNE,TEST", lambda text: corpus_io.check_split_sizes(
+    tuple(ascii_int(size, signed=True) for size in text.split(","))))
+_seed = _option("int", lambda text: ascii_int(text, signed=True))
 
 
 def _add_marker_flag(parser: argparse.ArgumentParser) -> None:
@@ -62,6 +64,11 @@ def _add_marker_flag(parser: argparse.ArgumentParser) -> None:
         type=_marker,
         help=f"word-boundary marker character (default: {DEFAULT_MARKER!r})",
     )
+
+
+def _add_script_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--script", default="auto", type=_script_or_auto,
+                        help="|".join(_SCRIPT_NAMES) + "|auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word|morph|char|char-ngram=N|os")
     _add_marker_flag(p)
     p.add_argument("--morph-lexicon", metavar="PATH")
-    p.add_argument("--script", default="auto", type=_script_or_auto,
-                   help="|".join(_SCRIPT_NAMES) + "|auto")
+    _add_script_flag(p)
     p.add_argument(
         "--on-marker-collision",
         choices=("error", "replace"),
@@ -94,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_marker_flag(p)
 
     p = sub.add_parser("syllabify", help="each line's words -> space-joined syllables")
-    p.add_argument("--script", default="auto", type=_script_or_auto,
-                   help="|".join(_SCRIPT_NAMES) + "|auto")
+    _add_script_flag(p)
 
     p = sub.add_parser("classify", help="dump per-code-point classifications")
     p.add_argument("--script", required=True, type=_script, help="|".join(_SCRIPT_NAMES))
@@ -130,12 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", required=True, type=_unit_scheme,
                    help="word|morph|char|char-ngram=N|os")
     p.add_argument("--morph-lexicon", metavar="PATH")
-    p.add_argument("--script", default="auto", type=_script_or_auto,
-                   help="|".join(_SCRIPT_NAMES) + "|auto")
+    _add_script_flag(p)
 
     p = sub.add_parser("split", help="split a corpus into train/tune/test")
     p.add_argument("--sizes", required=True, type=_sizes, metavar="TRAIN,TUNE,TEST")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out-prefix", required=True, metavar="PATH")
 
     return parser
@@ -288,13 +292,10 @@ def run(argv: list[str] | None = None, stdin=None, stdout=None) -> int:
             # two writes: a StringIO keeps each string, so line + "\n" would copy the output
             stdout.write(line)
             stdout.write("\n")
-    except OrthosylError as exc:
-        print(f"orthosyl {args.command}: error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 1
-    except OSError as exc:
-        # missing, unreadable or unwritable files: a diagnostic, not a traceback
+    except (OrthosylError, OSError) as exc:
+        # data errors and missing, unreadable or unwritable files: a diagnostic, not a traceback
         print(f"orthosyl {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -88,18 +88,13 @@ def split_corpus(
     passing a seed shuffles reproducibly before splitting.
     """
     train_n, tune_n, test_n = check_split_sizes(sizes)
-    if train_n + tune_n + test_n > len(lines):
-        raise SplitSizeError(
-            f"requested {train_n + tune_n + test_n} lines "
-            f"from a corpus of {len(lines)}"
-        )
+    total = train_n + tune_n + test_n
+    if total > len(lines):
+        raise SplitSizeError(f"requested {total} lines from a corpus of {len(lines)}")
     pool = list(lines)
     if seed is not None:
         random.Random(seed).shuffle(pool)
-    train = pool[:train_n]
-    tune = pool[train_n:train_n + tune_n]
-    test = pool[train_n + tune_n:train_n + tune_n + test_n]
-    return train, tune, test
+    return pool[:train_n], pool[train_n:train_n + tune_n], pool[train_n + tune_n:total]
 
 
 @dataclass(frozen=True)
@@ -156,15 +151,9 @@ def vocab_stats(
             raise_at_line(exc, bisect_right(seen, k) + 1)
         for unit in units:
             counts[unit] = counts.get(unit, 0) + n
-    token_count = sum(counts.values())
-    type_cp = sum(len(unit) for unit in counts)
-    mean_len = (type_cp / len(counts)) if counts else 0.0
-    return VocabStats(
-        scheme=scheme,
-        type_count=len(counts),
-        token_count=token_count,
-        mean_unit_length=mean_len,
-    )
+    mean_len = sum(map(len, counts)) / len(counts) if counts else 0.0
+    return VocabStats(scheme, type_count=len(counts), token_count=sum(counts.values()),
+                      mean_unit_length=mean_len)
 
 
 def unit_ratio(

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all orthosyl modules.
+"""Exception hierarchy and input checks shared by all orthosyl modules.
 
 Every data-level failure raises a subclass of :class:`OrthosylError` so the
 CLI can map them uniformly to exit status 1.
@@ -72,6 +72,14 @@ def check_aligned(**corpora: Sized) -> None:
             f"{', '.join(corpora)} are not aligned: "
             + " vs ".join(f"{count} lines" for count in counts)
         )
+
+
+def ascii_int(text: str, signed: bool = False) -> int:
+    """int(text) for ASCII decimal digits only, after one "-" if `signed`; else ValueError."""
+    digits = text.removeprefix("-") if signed else text
+    if not (digits.isascii() and digits.isdecimal()):  # int() also reads 1_0, +3, " 3", ٣
+        raise ValueError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
 
 
 def source_prefix(source: object) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..errors import AlignmentError, MalformedStreamError, OrthosylError, raise_at_line
+from ..errors import AlignmentError, MalformedStreamError, OrthosylError, ascii_int, raise_at_line
 from ..segment import DEFAULT_MARKER, detokenize
 from .bleu import DEFAULT_MAX_N, sentence_bleu_smoothed
 
@@ -70,12 +70,12 @@ def parse_nbest(lines: Iterable[str], source: object = None) -> NBestList:
                 f"expected 4 ' ||| '-separated fields, got {len(fields)}"
             ), lineno, source)
         id_text = fields[0].strip()
-        if not (id_text.isascii() and id_text.isdecimal()):
-            # int() would also read 1_0, +3, -1 and non-ASCII digits
+        try:
+            sentence_id = ascii_int(id_text)
+        except ValueError:
             raise_at_line(MalformedStreamError(
                 f"sentence id must be ASCII decimal digits, got {id_text!r}"
             ), lineno, source)
-        sentence_id = int(id_text)
         try:
             model_score = float(fields[3].strip())
         except ValueError as exc:

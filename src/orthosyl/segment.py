@@ -20,6 +20,7 @@ from .errors import (
     MarkerCollisionError,
     OrthosylError,
     ParameterError,
+    ascii_int,
     attach_line,
     raise_at_line,
 )
@@ -79,11 +80,12 @@ class UnitScheme:
     def parse(cls, text: str) -> "UnitScheme":
         """Parse a CLI-style scheme name: word|morph|char|char-ngram=N|os."""
         text = text.strip().lower()
-        name, sep, num = text.partition("=")
+        name, _, num = text.partition("=")
         if name == _CHAR_NGRAM:
-            if not sep or not num.isdecimal():
-                raise ParameterError(f"expected char-ngram=N, got {text!r}")
-            return cls.char_ngram(int(num))
+            try:
+                return cls.char_ngram(ascii_int(num))
+            except ValueError:
+                raise ParameterError(f"expected char-ngram=N, got {text!r}") from None
         return cls(text)
 
     @property

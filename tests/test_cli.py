@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from cli_cases import PER_LINE_ERRORS, per_line_argv, write_files
+
 from orthosyl.cli import _COMMANDS, run
-from orthosyl.corpus import check_split_sizes, load_corpus
+from orthosyl.corpus import check_split_sizes, load_corpus, split_corpus
 from orthosyl.errors import OrthosylError
 from orthosyl.metrics.bleu import check_max_n
 from orthosyl.metrics.lebleu import check_delta
@@ -308,6 +310,14 @@ class TestStatsSplit:
             outs.append((tmp_path / f"{tag}.train").read_text())
         assert outs[0] == outs[1]
 
+    def test_split_takes_a_negative_seed(self, tmp_path):
+        body = "".join(f"line {i}\n" for i in range(10))
+        status, _ = invoke(["split", "--sizes", "6,2,2", "--seed", "-9",
+                            "--out-prefix", str(tmp_path / "x")], body)
+        assert status == 0
+        train, _, _ = split_corpus(body.splitlines(), (6, 2, 2), seed=-9)
+        assert (tmp_path / "x.train").read_text().splitlines() == train
+
     def test_split_oversized_exit_1(self):
         proc = invoke_process(
             ["split", "--sizes", "5,1,1", "--out-prefix", "/tmp/x"], "one\n"
@@ -421,6 +431,12 @@ class TestContract:
         (["score", "--metric", "bleu", "--max-n", "100000000000000"], "--max-n"),
         (["segment", "--unit", "char-ngramxyz=2"], "--unit"),
         (["segment", "--unit", "char-ngrams=2"], "--unit"),
+        # integers are ASCII digits: int() alone would read these
+        (["score", "--metric", "bleu", "--max-n", "1_0"], "--max-n"),
+        (["segment", "--unit", "char-ngram=\u0663"], "--unit"),
+        (["split", "--sizes", "1_0,0,0"], "--sizes"),
+        (["split", "--sizes", "\u0661,\u0660,\u0660"], "--sizes"),
+        (["split", "--sizes", "1,0,0", "--seed", "1_0"], "--seed"),
     ])
     def test_out_of_range_option_exit_2(self, argv, option, tmp_path, capsys):
         # a usage error, raised before any input is read: the named files
@@ -455,6 +471,8 @@ class TestContract:
         (["score", "--metric", "lebleu", "--delta", "x"], "--delta", "invalid float value: 'x'"),
         (["segment", "--unit", "char-ngramxyz=2"], "--unit",
          lambda: UnitScheme.parse("char-ngramxyz=2")),
+        (["score", "--metric", "bleu", "--max-n", "1_0"], "--max-n", "invalid int value: '1_0'"),
+        (["split", "--sizes", "1,0,0", "--seed", "+9"], "--seed", "invalid int value: '+9'"),
     ])
     def test_usage_error_states_the_library_check(self, argv, option, expected, tmp_path, capsys):
         # the message is the library's own, not a copy of its rule; values
@@ -516,50 +534,9 @@ def test_round_trip_over_markers(marker, line, unit):
     assert restored == " ".join(line.split()) + "\n"
 
 
-def _files(tmp_path, **texts):
-    """Write each text to tmp_path/NAME and return the paths by name."""
-    paths = {}
-    for name, text in texts.items():
-        paths[name] = tmp_path / name
-        paths[name].write_text(text, encoding="utf-8")
-    return {name: str(path) for name, path in paths.items()}
-
-
-# (argv, stdin, files, N): argv names files as {NAME}; line N of the input
-# that the error comes from is the one the message must name.
-PER_LINE_ERRORS = {
-    "segment": (["segment", "--unit", "char"], "ok\nbad_word\n", {}, 2),
-    "desegment": (["desegment"], "a _ b\na _ _ b\n", {}, 2),
-    "syllabify": (["syllabify"], "ok\nघरmix\n", {}, 2),
-    "stats": (["stats", "--unit", "os"], "ok\nFacebookपर\n", {}, 2),
-    "lexicon missing TAB": (["segment", "--unit", "morph", "--morph-lexicon", "{lex}"], "x\n",
-                            {"lex": "ab\ta b\n\nabc\n"}, 3),
-    "lexicon segments": (["segment", "--unit", "morph", "--morph-lexicon", "{lex}"], "x\n",
-                         {"lex": "ab\ta b\nabc\ta c\n"}, 2),
-    "nbest fields": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
-                     {"nbest": "0 ||| a ||| f ||| 1\n0 ||| a ||| f\n", "ref": "a\n"}, 2),
-    "nbest extra field": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
-                          {"nbest": "0 ||| a ||| f ||| 1\n0 ||| a ||| f ||| 1 ||| extra\n",
-                           "ref": "a\n"}, 2),
-    "nbest number": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
-                     {"nbest": "0 ||| a ||| f ||| 1\n\n0 ||| a ||| f ||| x\n", "ref": "a\n"}, 3),
-    "nbest id": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
-                 {"nbest": "0 ||| a ||| f ||| 1\n1_0 ||| a ||| f ||| 1\n", "ref": "a\n" * 11}, 2),
-    "nbest order": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
-                    {"nbest": "1 ||| a ||| f ||| 1\n0 ||| a ||| f ||| 1\n", "ref": "a\nb\n"}, 2),
-    "rescore reference": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
-                          {"nbest": "0 ||| a ||| f ||| 1\n\n1 ||| a ||| f ||| 1\n", "ref": "a\n"}, 3),
-    "rescore markers": (["nbest-rescore", "--nbest", "{nbest}", "--ref", "{ref}"], "",
-                        {"nbest": "0 ||| a ||| f ||| 1\n0 ||| a _ _ b ||| f ||| 1\n",
-                         "ref": "a\n"}, 2),
-}
-
-
 def _per_line_error(case, tmp_path, capsys, extra=()):
-    argv, stdin_text, texts, lineno = PER_LINE_ERRORS[case]
-    paths = _files(tmp_path, **texts)
-    argv = [arg.format(**paths) for arg in argv] + list(extra)
-    status, out = invoke(argv, stdin_text)
+    _, stdin_text, _, lineno = PER_LINE_ERRORS[case]
+    status, out = invoke(per_line_argv(case, tmp_path) + list(extra), stdin_text)
     return status, out, capsys.readouterr().err, lineno
 
 
@@ -600,7 +577,7 @@ def test_skip_errors_reports_the_same_line_and_passes_it_through(tmp_path, capsy
      "hyp, ref are not aligned: 3 lines vs 2 lines"),
 ])
 def test_misaligned_files_name_every_input_and_count(argv, short, message, tmp_path, capsys):
-    paths = _files(tmp_path, long="a b\nc d\ne f\n", short="a b\nc d\n")
+    paths = write_files(tmp_path, long="a b\nc d\ne f\n", short="a b\nc d\n")
     status, out = invoke([arg.format(**paths) for arg in argv])
     assert status == 1
     assert out == ""

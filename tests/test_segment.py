@@ -45,8 +45,10 @@ class TestUnitScheme:
             UnitScheme.parse("bpe")
         with pytest.raises(ParameterError):
             UnitScheme.parse("char-ngram=x")
-        # the name before "=" must be char-ngram itself, not a longer word
-        for text in ("char-ngramxyz=2", "char-ngrams=2"):
+        # the name before "=" must be char-ngram itself, not a longer word,
+        # and N is ASCII digits, which int() alone does not require
+        for text in ("char-ngramxyz=2", "char-ngrams=2", "char-ngram=\u0663", "char-ngram=1_0",
+                     "char-ngram=+3", "char-ngram"):
             with pytest.raises(ParameterError):
                 UnitScheme.parse(text)
 
