@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 import unicodedata
+from typing import Callable, NamedTuple
 
 from . import corpus as corpus_io
 from . import metrics
-from .errors import OrthosylError, ascii_int, map_lines
+from .errors import OrthosylError, ascii_float, ascii_int, map_lines
 from .metrics.bleu import DEFAULT_MAX_N, check_max_n
 from .metrics.lebleu import DEFAULT_DELTA, check_delta
 from .scripts import SUPPORTED_SCRIPTS, ScriptId, classify, get_table
@@ -50,99 +51,11 @@ _script_or_auto = _option("script", lambda text: None if text.lower() == "auto" 
 _unit_scheme = _option("unit", UnitScheme.parse)
 _marker = _option("marker", check_marker)
 _max_n = _option("int", lambda text: check_max_n(ascii_int(text)))
-_delta = _option("float", lambda text: check_delta(float(text)))
+_delta = _option("float", lambda text: check_delta(ascii_float(text)))
 # signed: a negative size is the library check's to report
 _sizes = _option("TRAIN,TUNE,TEST", lambda text: corpus_io.check_split_sizes(
     tuple(ascii_int(size, signed=True) for size in text.split(","))))
 _seed = _option("int", lambda text: ascii_int(text, signed=True))
-
-
-def _add_marker_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--marker",
-        default=DEFAULT_MARKER,
-        type=_marker,
-        help=f"word-boundary marker character (default: {DEFAULT_MARKER!r})",
-    )
-
-
-def _add_script_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--script", default="auto", type=_script_or_auto,
-                        help="|".join(_SCRIPT_NAMES) + "|auto")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orthosyl",
-        description=(
-            "Orthographic-syllable segmentation, subword unit representations "
-            "and translation evaluation metrics."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("segment", help="segment sentences into units")
-    p.add_argument("--unit", required=True, type=_unit_scheme,
-                   help="word|morph|char|char-ngram=N|os")
-    _add_marker_flag(p)
-    p.add_argument("--morph-lexicon", metavar="PATH")
-    _add_script_flag(p)
-    p.add_argument(
-        "--on-marker-collision",
-        choices=("error", "replace"),
-        default="error",
-    )
-    p.add_argument("--skip-errors", action="store_true",
-                   help="pass offending lines through instead of failing")
-
-    p = sub.add_parser("desegment", help="invert sub-word segment output to sentences "
-                       "(--unit word output already is the sentence)")
-    _add_marker_flag(p)
-
-    p = sub.add_parser("syllabify", help="each line's words -> space-joined syllables")
-    _add_script_flag(p)
-
-    p = sub.add_parser("classify", help="dump per-code-point classifications")
-    p.add_argument("--script", required=True, type=_script, help="|".join(_SCRIPT_NAMES))
-
-    p = sub.add_parser("lcsr", help="longest-common-subsequence ratio of two files")
-    p.add_argument("--a", required=True, metavar="PATH")
-    p.add_argument("--b", required=True, metavar="PATH")
-    p.add_argument("--per-line", action="store_true")
-
-    p = sub.add_parser("correlate", help="similarity vs translation-match correlation")
-    p.add_argument("--src", required=True, metavar="PATH")
-    p.add_argument("--tgt", required=True, metavar="PATH")
-    p.add_argument("--hyp", required=True, metavar="PATH")
-    p.add_argument("--ref", required=True, metavar="PATH")
-
-    p = sub.add_parser("score", help="BLEU / Le-BLEU of a hypothesis file")
-    p.add_argument("--metric", choices=("bleu", "lebleu"), required=True)
-    p.add_argument("--hyp", required=True, metavar="PATH")
-    p.add_argument("--ref", required=True, metavar="PATH")
-    p.add_argument("--max-n", type=_max_n, default=DEFAULT_MAX_N)
-    p.add_argument("--delta", type=_delta,
-                   help=f"fuzzy word-match threshold (lebleu only, default {DEFAULT_DELTA})")
-    p.add_argument("--report", metavar="PATH",
-                   help="also write a key-value report file")
-
-    p = sub.add_parser("nbest-rescore", help="append word-level BLEU to an n-best list")
-    p.add_argument("--nbest", required=True, metavar="PATH")
-    p.add_argument("--ref", required=True, metavar="PATH")
-    _add_marker_flag(p)
-
-    p = sub.add_parser("stats", help="unit-vocabulary statistics of a corpus")
-    p.add_argument("--unit", required=True, type=_unit_scheme,
-                   help="word|morph|char|char-ngram=N|os")
-    p.add_argument("--morph-lexicon", metavar="PATH")
-    _add_script_flag(p)
-
-    p = sub.add_parser("split", help="split a corpus into train/tune/test")
-    p.add_argument("--sizes", required=True, type=_sizes, metavar="TRAIN,TUNE,TEST")
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--out-prefix", required=True, metavar="PATH")
-
-    return parser
 
 
 def _load_lexicon(path: str | None) -> MorphLexicon:
@@ -260,35 +173,117 @@ def _cmd_split(args, stdin):
     return []
 
 
+def _opt(flag: str, **kwargs) -> tuple:
+    """One option of a subcommand: parser.add_argument(flag, **kwargs) when it is built."""
+    return flag, kwargs
+
+
+def _path(flag: str) -> tuple:
+    return _opt(flag, required=True, metavar="PATH")
+
+
+_UNIT = _opt("--unit", required=True, type=_unit_scheme, help="word|morph|char|char-ngram=N|os")
+_MARKER = _opt("--marker", default=DEFAULT_MARKER, type=_marker,
+               help=f"word-boundary marker character (default: {DEFAULT_MARKER!r})")
+_MORPH_LEXICON = _opt("--morph-lexicon", metavar="PATH")
+_SCRIPT_OR_AUTO = _opt("--script", default="auto", type=_script_or_auto,
+                       help="|".join(_SCRIPT_NAMES) + "|auto")
+
+
+class _Command(NamedTuple):
+    help: str
+    options: tuple  # _opt pairs, in the order --help lists them
+    handler: Callable  # (args, stdin) -> output lines
+
+
 _COMMANDS = {
-    "segment": _cmd_segment,
-    "desegment": _cmd_desegment,
-    "syllabify": _cmd_syllabify,
-    "classify": _cmd_classify,
-    "lcsr": _cmd_lcsr,
-    "correlate": _cmd_correlate,
-    "score": _cmd_score,
-    "nbest-rescore": _cmd_nbest_rescore,
-    "stats": _cmd_stats,
-    "split": _cmd_split,
+    "segment": _Command("segment sentences into units", (
+        _UNIT, _MARKER, _MORPH_LEXICON, _SCRIPT_OR_AUTO,
+        _opt("--on-marker-collision", choices=("error", "replace"), default="error"),
+        _opt("--skip-errors", action="store_true",
+             help="pass offending lines through instead of failing"),
+    ), _cmd_segment),
+    "desegment": _Command("invert sub-word segment output to sentences "
+                          "(--unit word output already is the sentence)",
+                          (_MARKER,), _cmd_desegment),
+    "syllabify": _Command("each line's words -> space-joined syllables",
+                          (_SCRIPT_OR_AUTO,), _cmd_syllabify),
+    "classify": _Command("dump per-code-point classifications", (
+        _opt("--script", required=True, type=_script, help="|".join(_SCRIPT_NAMES)),
+    ), _cmd_classify),
+    "lcsr": _Command("longest-common-subsequence ratio of two files", (
+        _path("--a"), _path("--b"), _opt("--per-line", action="store_true"),
+    ), _cmd_lcsr),
+    "correlate": _Command("similarity vs translation-match correlation", (
+        _path("--src"), _path("--tgt"), _path("--hyp"), _path("--ref"),
+    ), _cmd_correlate),
+    "score": _Command("BLEU / Le-BLEU of a hypothesis file", (
+        _opt("--metric", choices=("bleu", "lebleu"), required=True),
+        _path("--hyp"), _path("--ref"),
+        _opt("--max-n", type=_max_n, default=DEFAULT_MAX_N),
+        _opt("--delta", type=_delta,
+             help=f"fuzzy word-match threshold (lebleu only, default {DEFAULT_DELTA})"),
+        _opt("--report", metavar="PATH", help="also write a key-value report file"),
+    ), _cmd_score),
+    "nbest-rescore": _Command("append word-level BLEU to an n-best list", (
+        _path("--nbest"), _path("--ref"), _MARKER,
+    ), _cmd_nbest_rescore),
+    "stats": _Command("unit-vocabulary statistics of a corpus", (
+        _UNIT, _MORPH_LEXICON, _SCRIPT_OR_AUTO,
+    ), _cmd_stats),
+    "split": _Command("split a corpus into train/tune/test", (
+        _opt("--sizes", required=True, type=_sizes, metavar="TRAIN,TUNE,TEST"),
+        _opt("--seed", type=_seed),
+        _path("--out-prefix"),
+    ), _cmd_split),
 }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, or of `command`'s alone.
+
+    Each subparser's namespace holds it as `parser`, so that a check across
+    options reports through it. With one subparser, the top-level usage
+    still names every command, so its "unrecognized arguments" error reads
+    the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="orthosyl",
+        description=(
+            "Orthographic-syllable segmentation, subword unit representations "
+            "and translation evaluation metrics."
+        ),
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, spec in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=spec.help)
+            for flag, kwargs in spec.options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(parser=p)
+    return parser
 
 
 def run(argv: list[str] | None = None, stdin=None, stdout=None) -> int:
     """Parse arguments and dispatch; returns the process exit status."""
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a process runs one command, so it builds that command's subparser only;
+    # no command, --help, a typo or a leading option needs them all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "score" and args.metric != "lebleu" and args.delta is not None:
-        parser.error("--delta applies to --metric lebleu only")
+        args.parser.error("--delta applies to --metric lebleu only")
     if args.command == "segment":
         try:
             check_marker(args.marker, args.on_marker_collision)
         except OrthosylError as exc:
-            parser.error(f"argument --marker: {exc}")
+            args.parser.error(f"argument --marker: {exc}")
     try:
-        for line in _COMMANDS[args.command](args, stdin):
+        for line in _COMMANDS[args.command].handler(args, stdin):
             # two writes: a StringIO keeps each string, so line + "\n" would copy the output
             stdout.write(line)
             stdout.write("\n")

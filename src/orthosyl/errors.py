@@ -82,6 +82,13 @@ def ascii_int(text: str, signed: bool = False) -> int:
     return int(text)
 
 
+def ascii_float(text: str) -> float:
+    """float(text) for ASCII text without "_" only; else ValueError, in float()'s words."""
+    if not text.isascii() or "_" in text:  # float() also reads 0_6, ٠.٦
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def source_prefix(source: object) -> str:
     """The "PATH: " that opens an error in a file read by path; "" for a stream."""
     return f"{source}: " if isinstance(source, (str, PurePath)) else ""

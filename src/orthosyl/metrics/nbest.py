@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..errors import AlignmentError, MalformedStreamError, OrthosylError, ascii_int, raise_at_line
+from ..errors import (
+    AlignmentError,
+    MalformedStreamError,
+    OrthosylError,
+    ascii_float,
+    ascii_int,
+    raise_at_line,
+)
 from ..segment import DEFAULT_MARKER, detokenize
 from .bleu import DEFAULT_MAX_N, sentence_bleu_smoothed
 
@@ -77,7 +84,7 @@ def parse_nbest(lines: Iterable[str], source: object = None) -> NBestList:
                 f"sentence id must be ASCII decimal digits, got {id_text!r}"
             ), lineno, source)
         try:
-            model_score = float(fields[3].strip())
+            model_score = ascii_float(fields[3].strip())
         except ValueError as exc:
             raise_at_line(MalformedStreamError(str(exc)), lineno, source)
         if last_id is not None and sentence_id < last_id:

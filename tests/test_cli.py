@@ -1,5 +1,6 @@
 """CLI subcommands: behavior, exit codes, stdout/stderr separation."""
 
+import argparse
 import io
 import re
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cli_cases import PER_LINE_ERRORS, per_line_argv, write_files
+from test_surface import _options
 
-from orthosyl.cli import _COMMANDS, run
+from orthosyl.cli import _COMMANDS, build_parser, run
 from orthosyl.corpus import check_split_sizes, load_corpus, split_corpus
 from orthosyl.errors import OrthosylError
 from orthosyl.metrics.bleu import check_max_n
@@ -215,7 +217,8 @@ class TestMetricsCommands:
                                "--hyp", str(hyp), "--ref", str(hyp)])
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "--delta" in proc.stderr
+        assert proc.stderr.startswith("usage: orthosyl score ")
+        assert "orthosyl score: error: --delta applies to --metric lebleu only\n" in proc.stderr
 
     def test_lcsr_summary_and_per_line(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -261,6 +264,18 @@ class TestMetricsCommands:
         )
         assert status == 0
         assert out == "0 ||| रा जू _ न को ||| lm=-1 ||| -2.5 ||| 100.0000\n"
+
+    def test_nbest_rescore_rejects_a_score_in_other_digits(self, tmp_path, capsys):
+        # float() alone reads ١٢ as 12
+        nbest = tmp_path / "nbest.txt"
+        nbest.write_text("0 ||| a ||| f ||| 1\n0 ||| a ||| f ||| \u0661\u0662\n", encoding="utf-8")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a\n", encoding="utf-8")
+        status, out = invoke(["nbest-rescore", "--nbest", str(nbest), "--ref", str(ref)])
+        assert status == 1
+        assert out == ""
+        assert capsys.readouterr().err == (f"orthosyl nbest-rescore: error: {nbest}: line 2: "
+                                           "could not convert string to float: '\u0661\u0662'\n")
 
 
 class TestStatsSplit:
@@ -437,6 +452,9 @@ class TestContract:
         (["split", "--sizes", "1_0,0,0"], "--sizes"),
         (["split", "--sizes", "\u0661,\u0660,\u0660"], "--sizes"),
         (["split", "--sizes", "1,0,0", "--seed", "1_0"], "--seed"),
+        # and floats too: float() alone would read these as 0.6
+        (["score", "--metric", "lebleu", "--delta", "0_6"], "--delta"),
+        (["score", "--metric", "lebleu", "--delta", "\u0660.\u0666"], "--delta"),
     ])
     def test_out_of_range_option_exit_2(self, argv, option, tmp_path, capsys):
         # a usage error, raised before any input is read: the named files
@@ -473,6 +491,8 @@ class TestContract:
          lambda: UnitScheme.parse("char-ngramxyz=2")),
         (["score", "--metric", "bleu", "--max-n", "1_0"], "--max-n", "invalid int value: '1_0'"),
         (["split", "--sizes", "1,0,0", "--seed", "+9"], "--seed", "invalid int value: '+9'"),
+        (["score", "--metric", "lebleu", "--delta", "0_6"], "--delta",
+         "invalid float value: '0_6'"),
     ])
     def test_usage_error_states_the_library_check(self, argv, option, expected, tmp_path, capsys):
         # the message is the library's own, not a copy of its rule; values
@@ -498,6 +518,59 @@ class TestContract:
         out, err = capsys.readouterr()
         assert out.startswith("usage: orthosyl ")
         assert err == ""
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+class TestOneSubparser:
+    """run builds only the named command's subparser; no output may tell."""
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_one_subparser_equals_its_full_build(self, name):
+        full = _subparsers(build_parser())[name]
+        only = _subparsers(build_parser(name))
+        assert list(only) == [name]
+        assert only[name].format_help() == full.format_help()
+        assert list(_options(only[name])) == list(_options(full))
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"], stdin=io.BytesIO(b"\xff"), stdout=io.StringIO())
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out == build_parser().format_help()
+        for name, spec in _COMMANDS.items():
+            assert re.search(rf"^    {re.escape(name)} +{re.escape(spec.help[:20])}", out, re.M)
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command\n"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from "),
+        (["--bogus"], "the following arguments are required: command\n"),
+        # a known command builds one subparser, whose extra words the top level reports
+        (["desegment", "extra"], "unrecognized arguments: extra\n"),
+    ])
+    def test_top_level_errors_print_the_full_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, stdin=io.BytesIO(b"\xff"), stdout=io.StringIO())
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(build_parser().format_usage() + "orthosyl: error: " + message)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["score", "--metric", "bleu", "--delta", "0.5", "--hyp", "x", "--ref", "x"],
+         "--delta applies to --metric lebleu only"),
+        (["segment", "--unit", "char", "--marker", "\u2581", "--on-marker-collision", "replace"],
+         "argument --marker: "),
+    ])
+    def test_cross_option_errors_print_the_subcommand_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, stdin=io.BytesIO(b"\xff"), stdout=io.StringIO())
+        assert exc.value.code == 2
+        usage = _subparsers(build_parser())[argv[0]].format_usage()
+        assert capsys.readouterr().err.startswith(f"{usage}orthosyl {argv[0]}: error: {message}")
 
 
 # Lines as a file holds them, NFC: any code point but LF and the BOM that

@@ -40,6 +40,10 @@ def test_parse_rejects_bad_numbers():
     for sentence_id in ("1_0", "+3", "-1", "\u0663", ""):
         with pytest.raises(MalformedStreamError, match="line 1: sentence id"):
             parse_nbest([f"{sentence_id} ||| a ||| f ||| 1.0"])
+    # and the model score is an ASCII number, not whatever float() reads
+    for score in ("1_0", "\u0661\u0662", "\u0660.\u0666"):
+        with pytest.raises(MalformedStreamError, match="line 1: could not convert"):
+            parse_nbest([f"0 ||| a ||| f ||| {score}"])
 
 
 def test_parse_rejects_decreasing_ids():
