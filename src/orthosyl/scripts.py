@@ -9,19 +9,23 @@ too.
 The tables hold only what Unicode does not already say. A code point's
 general category decides the non-letters: in an Indic block, an assigned
 code point that is not a letter or mark (L*, M*) is an other sign, and of
-the Latin and Cyrillic ranges only the letters are classified. The rest is
-hand-written. The nine supported Indic blocks (Devanagari .. Malayalam)
-share the ISCII-derived layout, so one canonical offset -> class map of its
-letters and marks is authored once and instantiated per block, and a small
-per-script exception table patches the letters and marks that deviate from
-it. The Latin and Cyrillic vowel sets name base letters only (aeiouæœøı,
-аеиоуыэюяієѣѵѫ) and Unicode's canonical decomposition supplies the accented
-vowels (see `_is_alpha_vowel`). All eleven tables are built at import, so
-classification and script detection are dict lookups per code point.
+the Latin and Cyrillic ranges only the letters are classified. An Indic
+letter or mark takes the class that its Unicode name states (see
+`_name_class`): a sign keyword such as VIRAMA or NUKTA, a vowel letter, a
+stop of the five articulation rows (a plosive), or any other letter (a
+consonant). Eight code points whose names do not give their class are
+classified by hand (`_BY_HAND`): Gurmukhi's adak bindi, bindi, tippi, iri
+and ura, Oriya's overline, and Kannada's jihvamuliya and upadhmaniya. The
+Latin and Cyrillic vowel sets name base letters only (aeiouæœøı,
+аеиоуыэюяієѣѵѫ) and Unicode's canonical decomposition supplies the
+accented vowels (see `_is_alpha_vowel`). All eleven tables are built at
+import, so classification and script detection are dict lookups per code
+point.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
@@ -108,89 +112,49 @@ _CYRILLIC_VOWELS = frozenset("аеиоуыэюяієѣѵѫ")
 # every table gives them the letter U, an other sign.
 _UNIVERSAL_SIGNS = frozenset({"‌", "‍"})
 
+# What the Unicode name of an Indic letter or mark says of its class. A
+# name is read after the script's name, its first word in all nine blocks.
+# A sign keyword decides first; then a vowel letter is V, a stop of the five
+# articulation rows (velar .. labial, each row's nasal excluded) is a
+# plosive P, any other letter a consonant C, and the rest other signs.
+_SIGN_KEYWORDS = {
+    "VIRAMA": "H",
+    "NUKTA": "N",
+    "ANUSVARA": "A",
+    "CANDRABINDU": "B",
+    "VISARGA": "S",
+    "VOWEL SIGN": "M",
+    "LENGTH MARK": "M",
+}
+_VOWEL_NAME = re.compile(
+    r"VOWEL .*|LETTER (?:VOCALIC \w+|(?:CANDRA |SHORT |ARCHAIC )?[AEIOU]+W?)"
+)
+_PLOSIVE_NAME = re.compile(r"LETTER (?:K|G|C|J|TT|DD|T|D|P|B)H?A")
 
-def _expand(spec: dict) -> dict:
-    """Expand {offset-or-(lo,hi): class} into a flat offset -> class map."""
-    out = {}
-    for key, cls in spec.items():
-        if isinstance(key, tuple):
-            lo, hi = key
-            for off in range(lo, hi + 1):
-                out[off] = cls
-        else:
-            out[key] = cls
-    return out
-
-
-_C = CharClass
-
-# Canonical map of the letters and marks of the shared Indic block layout,
-# authored from the published code charts with Devanagari as the reference
-# block. An offset it leaves out (avagraha, om, the Vedic tone marks) is an
-# other sign, as is every code point that is not a letter or a mark.
-_CANONICAL = _expand({
-    (0x00, 0x01): _C.CHANDRABINDU,
-    0x02: _C.ANUSVARA,
-    0x03: _C.VISARGA,
-    (0x04, 0x14): _C.INDEPENDENT_VOWEL,
-    (0x15, 0x39): _C.CONSONANT,
-    (0x3A, 0x3B): _C.DEPENDENT_VOWEL,
-    0x3C: _C.NUKTA,
-    (0x3E, 0x4C): _C.DEPENDENT_VOWEL,
-    0x4D: _C.HALANTA,
-    (0x4E, 0x4F): _C.DEPENDENT_VOWEL,
-    (0x55, 0x57): _C.DEPENDENT_VOWEL,
-    (0x58, 0x5F): _C.CONSONANT,    # nukta consonants
-    (0x60, 0x61): _C.INDEPENDENT_VOWEL,
-    (0x62, 0x63): _C.DEPENDENT_VOWEL,
-    (0x72, 0x77): _C.INDEPENDENT_VOWEL,
-    (0x78, 0x7F): _C.CONSONANT,
-})
-
-# Letters and marks that deviate from the canonical layout, per script.
-_EXCEPTIONS: dict[ScriptId, dict] = {
-    ScriptId.DEVANAGARI: {},
-    ScriptId.BENGALI: _expand({
-        0x00: _C.OTHER_SIGN,        # anji
-        0x4E: _C.CONSONANT,         # khanda ta
-        (0x70, 0x71): _C.CONSONANT, # ra with middle/lower diagonal
-        0x7C: _C.ANUSVARA,          # vedic anusvara letter
-        0x7E: _C.OTHER_SIGN,        # sandhi mark
-    }),
-    ScriptId.GURMUKHI: _expand({
-        0x70: _C.ANUSVARA,          # tippi
-        0x74: _C.OTHER_SIGN,        # ek onkar
-        0x75: _C.OTHER_SIGN,        # yakash
-    }),
-    ScriptId.GUJARATI: _expand({
-        (0x7A, 0x7C): _C.OTHER_SIGN,  # sukun/shadda/maddah-style signs
-        (0x7D, 0x7F): _C.NUKTA,     # dotted/circled nukta-above marks
-    }),
-    ScriptId.ORIYA: {0x71: _C.CONSONANT},            # wa
-    ScriptId.TAMIL: {},
-    ScriptId.TELUGU: {0x04: _C.ANUSVARA},            # combining anusvara above
-    ScriptId.KANNADA: _expand({
-        (0x71, 0x72): _C.CONSONANT, # jihvamuliya, upadhmaniya
-    }),
-    ScriptId.MALAYALAM: _expand({
-        0x00: _C.ANUSVARA,          # combining anusvara above
-        0x04: _C.ANUSVARA,          # vedic anusvara
-        0x3A: _C.CONSONANT,         # ttta
-        (0x3B, 0x3C): _C.HALANTA,   # vertical bar / circular virama
-        0x4E: _C.CONSONANT,         # dot reph
-        (0x54, 0x56): _C.CONSONANT, # chillu m/y/lll
-        0x5F: _C.INDEPENDENT_VOWEL, # archaic ii
-    }),
+# The letters and marks whose names do not give their class.
+_BY_HAND = {
+    0x0A01: "B",  # gurmukhi adak bindi
+    0x0A02: "A",  # gurmukhi bindi
+    0x0A70: "A",  # gurmukhi tippi
+    0x0A72: "V",  # gurmukhi iri
+    0x0A73: "V",  # gurmukhi ura
+    0x0B55: "M",  # oriya overline
+    0x0CF1: "C",  # kannada jihvamuliya
+    0x0CF2: "C",  # kannada upadhmaniya
 }
 
-# Stop consonants of the five articulation rows (velar, palatal, retroflex,
-# dental, labial), each row's nasal excluded. Shared block layout, so the
-# offsets hold for every Indic script; unassigned ones drop out per script.
-_PLOSIVE_OFFSETS = frozenset(
-    off
-    for lo in (0x15, 0x1A, 0x1F, 0x24, 0x2A)
-    for off in range(lo, lo + 4)
-)
+
+def _name_class(ch: str) -> str:
+    """The class letter that the Unicode name of an Indic letter or mark states."""
+    name = unicodedata.name(ch).partition(" ")[2]
+    for keyword, letter in _SIGN_KEYWORDS.items():
+        if keyword in name:
+            return letter
+    if _VOWEL_NAME.fullmatch(name):
+        return "V"
+    if _PLOSIVE_NAME.fullmatch(name):
+        return "P"
+    return "C" if name.startswith("LETTER ") else "O"
 
 
 # Class letter -> the class it stands for. P is a plosive consonant, U is
@@ -209,10 +173,6 @@ _CLASS_OF_LETTER = {
     "S": CharClass.VISARGA,
     "O": CharClass.OTHER_SIGN,
     "x": CharClass.NON_SCRIPT,
-}
-# The letter of an authored class; P, U and x are set by the builders.
-_LETTER_OF_CLASS = {
-    cls: letter for letter, cls in _CLASS_OF_LETTER.items() if letter not in "PUx"
 }
 
 
@@ -251,17 +211,15 @@ def _table(script: ScriptId, start: int, end: int, known: dict[int, str],
 
 def _build_indic_table(script: ScriptId) -> ScriptTable:
     start = _INDIC_BLOCKS[script]
-    exceptions = _EXCEPTIONS[script]
     known = {}
-    for off in range(_BLOCK_SIZE):
-        category = unicodedata.category(chr(start + off))
+    for cp in range(start, start + _BLOCK_SIZE):
+        category = unicodedata.category(chr(cp))
         if category == "Cn":
             continue  # unassigned in this script
-        cls = CharClass.OTHER_SIGN  # unless a letter or mark the layout names
-        if category[0] in "LM":
-            cls = exceptions.get(off, _CANONICAL.get(off, cls))
-        plosive = cls is CharClass.CONSONANT and off in _PLOSIVE_OFFSETS
-        known[start + off] = "P" if plosive else _LETTER_OF_CLASS[cls]
+        if category[0] not in "LM":
+            known[cp] = "O"
+        else:
+            known[cp] = _BY_HAND.get(cp) or _name_class(chr(cp))
     return _table(script, start, start + _BLOCK_SIZE - 1, known)
 
 

@@ -416,6 +416,21 @@ class TestContract:
         assert proc.stdout == ""
         assert "line 1" in proc.stderr
 
+    def test_closed_stdout_exits_1_without_a_diagnostic(self, tmp_path):
+        # the reader takes the first bytes and closes the pipe, as `| head -c 64` does
+        corpus, errors = tmp_path / "corpus.txt", tmp_path / "stderr.txt"
+        corpus.write_text((MARATHI_W + "\n") * 200_000, encoding="utf-8")
+        with corpus.open("rb") as stdin, errors.open("wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "orthosyl.cli", "segment", "--unit", "char"],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=stderr,
+            )
+            assert len(proc.stdout.read(64)) == 64
+            proc.stdout.close()
+            status = proc.wait(timeout=60)
+        assert status == 1
+        assert errors.read_bytes() == b""
+
     @pytest.mark.parametrize("argv,option", [
         (["score", "--metric", "bleu", "--max-n", "0"], "--max-n"),
         (["score", "--metric", "lebleu", "--delta", "nan"], "--delta"),

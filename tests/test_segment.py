@@ -177,6 +177,8 @@ class TestMorphLexicon:
         lex = MorphLexicon.load(str(path))
         assert len(lex) == 2
         assert lex.get("घराबाहेर") == ("घरा", "बाहेर")
+        assert MARATHI_WORD in lex
+        assert "घरा" not in lex
 
     def test_load_rejects_bad_line(self, tmp_path):
         path = tmp_path / "morphs.tsv"

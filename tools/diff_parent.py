@@ -8,7 +8,11 @@ PARENT_SRC and CHANGE_SRC are directories that each hold an `orthosyl`
 package (a checkout's `src/`; `git archive COMMIT | tar -x -C DIR` makes
 one of a commit in DIR). Both are copied to a temporary directory as
 `orthosyl_parent` and `orthosyl_change` and imported in this one process.
-Two layers are compared.
+Three layers are compared.
+
+tables: for every supported script of either copy, each code point of the
+script's block, ZWJ, ZWNJ and the class letters go to both copies'
+`TABLES[script].classify(ch).value` and `TABLES[script].is_plosive(ch)`.
 
 library: each of 300,000 words, drawn with the fixed seed `SEED`, goes to
 both copies'
@@ -187,6 +191,30 @@ def calls(mods, word: str, home: str, other: str):
     return out
 
 
+def table_entry(scripts_module, name: str, ch: str):
+    """The class and the plosive flag of `ch` in the table of script `name`."""
+    table = scripts_module.TABLES[scripts_module.ScriptId[name]]
+    return table.classify(ch).value, table.is_plosive(ch)
+
+
+def tables_layer(mods) -> int:
+    """Compare the tables of every script either copy supports; return the mismatches."""
+    layer = Layer("tables")
+    modules = [mods[side]["scripts"] for side in SIDES]
+    names = sorted({script.name for module in modules for script in module.TABLES})
+    for name in names:
+        chars = {"\u200c", "\u200d"}
+        for module in modules:
+            chars.update(module._CLASS_OF_LETTER)
+            for script, table in module.TABLES.items():
+                if script.name == name:
+                    chars.update(map(chr, range(table.block_start, table.block_end + 1)))
+        for ch in sorted(chars):
+            parent, change = (outcome(table_entry, module, name, ch) for module in modules)
+            layer.compare(f"{name} U+{ord(ch):04X}", parent, change)
+    return layer.summary(f"{len(names)} scripts", "code points")
+
+
 def library_layer(mods, count: int) -> int:
     """Compare the library calls on `count` seeded words; return the mismatches."""
     layer = Layer("library")
@@ -254,15 +282,16 @@ def cli_layer(clis, seeds, scale: float) -> int:
 
 def diff(parent: Path, change: Path, count: int = WORDS, seeds=SEEDS,
          scale: float = 1.0) -> dict[str, int]:
-    """Compare the two copies' library on `count` words and their CLI on
-    `seeds` of each workload at `scale`; print each layer's first mismatches
-    and summary line, and return the mismatches by layer."""
+    """Compare the two copies' tables, their library on `count` words and
+    their CLI on `seeds` of each workload at `scale`; print each layer's
+    first mismatches and summary line, and return the mismatches by layer."""
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
             mods = {side: load(src, side, Path(tmp))
                     for side, src in zip(SIDES, (parent, change))}
-            return {"library": library_layer(mods, count),
+            return {"tables": tables_layer(mods),
+                    "library": library_layer(mods, count),
                     "cli": cli_layer({side: mods[side]["cli"] for side in SIDES}, seeds, scale)}
         finally:
             sys.path.remove(tmp)
