@@ -59,6 +59,80 @@ def test_lengths_at_word_boundaries(n):
         assert_agrees(a, "".join(rng.choices("abc", k=m)))
 
 
+def affix_pairs(seed):
+    # prefix + middle + suffix, where the prefix and suffix that lcs_length
+    # strips are 29-65 code points together, so the stripped length falls on
+    # both sides of the 30-, 60- and 64-bit boundaries; the middles, 0-70
+    # code points, put the bit loop's vectors on both sides of them too
+    rng = random.Random(seed)
+    for n in (29, 30, 31, 59, 60, 61, 63, 64, 65):
+        for split in (0, n // 2, n):
+            prefix = "".join(rng.choices("abc", k=split))
+            suffix = "".join(rng.choices("abc", k=n - split))
+            for _ in range(3):
+                a = "".join(rng.choices("abc", k=rng.randint(0, 70)))
+                b = "".join(rng.choices("abc", k=rng.randint(0, 70)))
+                yield prefix + a + suffix, prefix + b + suffix
+
+
+def test_shared_affixes_agree_with_plain_dp():
+    for a, b in affix_pairs(5):
+        assert_agrees(a, b)
+        assert_agrees(b, a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 130])
+def test_equal_strings_at_word_boundaries(n):
+    s = "".join(random.Random(n).choices("abc", k=n))
+    assert lcs_length(s, s) == len(s)
+    assert edit_distance(s, s) == 0
+    assert_agrees(s, s)
+
+
+@pytest.mark.parametrize("n", [1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 130])
+def test_one_string_a_prefix_or_suffix_of_the_other(n):
+    s = "".join(random.Random(n).choices("abc", k=n))
+    for k in sorted({0, 1, n // 2, n - 1, n}):
+        for part in (s[:k], s[k:]):
+            assert lcs_length(s, part) == lcs_length(part, s) == len(part)
+            assert edit_distance(s, part) == n - len(part)
+            assert_agrees(s, part)
+
+
+@pytest.mark.parametrize(
+    "a,b,want",
+    [
+        # the common prefix and the common suffix could overlap in the
+        # shorter string; each code point may be counted once only
+        ("aXa", "aa", 2),
+        ("aaa", "aa", 2),
+        ("aaXaa", "aaa", 3),
+        ("abab", "ab", 2),
+        ("aba", "aa", 2),
+        ("abcXabc", "abcabc", 6),
+        ("abXba", "aba", 3),
+        ("aXbXa", "aba", 3),
+    ],
+)
+def test_overlapping_prefix_and_suffix_runs(a, b, want):
+    assert lcs_length(a, b) == lcs_length(b, a) == brute_force_lcs(a, b) == want
+    assert edit_distance(a, b) == edit_distance(b, a) == brute_force_edit(a, b)
+    assert_agrees(a, b)
+
+
+@settings(max_examples=300)
+@given(
+    st.text(alphabet="ab", max_size=4),
+    st.text(alphabet="abc", max_size=5),
+    st.text(alphabet="abc", max_size=5),
+    st.text(alphabet="ab", max_size=4),
+)
+def test_shared_affixes_match_brute_force(prefix, a, b, suffix):
+    a, b = prefix + a + suffix, prefix + b + suffix
+    assert lcs_length(a, b) == brute_force_lcs(a, b)
+    assert edit_distance(a, b) == brute_force_edit(a, b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=40), st.text(max_size=40))
 def test_arbitrary_text(a, b):

@@ -148,14 +148,6 @@ _NAME_KEYWORDS = [
     ("LENGTH MARK", CharClass.DEPENDENT_VOWEL),
 ]
 
-# Characters whose Unicode name keyword does not reflect how the
-# syllabifier must treat them.
-_NAME_ALLOWLIST = {
-    0x0B83,  # tamil aytham: named VISARGA, spacing letter; treated as visarga
-    0x09FC,  # bengali vedic anusvara: a spacing letter spelling the sign
-    0x0D04,  # malayalam vedic anusvara
-}
-
 
 def test_tables_match_unicode_names():
     """The tables agree with the UCD naming conventions, as read here apart
@@ -163,8 +155,6 @@ def test_tables_match_unicode_names():
     for script in INDIC:
         table = TABLES[script]
         for cp, cls in _block_classes(table):
-            if cp in _NAME_ALLOWLIST:
-                continue
             name = unicodedata.name(chr(cp))
             for keyword, want in _NAME_KEYWORDS:
                 if keyword in name:

@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR --label NAME \
         --workloads hindi multiscript --seeds 101-110 [--seconds 55] \
-        [--parent-rev SHA] [--change-rev SHA]
+        [--parent-rev SHA] [--change-rev SHA] [--control COMMAND]
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two versions. For every
 workload and seed it runs, in each checkout and one after the other,
@@ -36,7 +36,9 @@ load average seen before a run (a busy host slows both sides unevenly),
 and counts the runs that exited non-zero, whose pairs are left out of the
 summaries but stay in the pairs run that `gained` divides by. It also
 keeps every run's figures, the seeds and the two revisions (a checkout's
-`git rev-parse HEAD` unless given).
+`git rev-parse HEAD` unless given). `--control` records the command that
+the change should leave alone, whose figures show how far the two sides
+drift apart on code they share.
 """
 
 from __future__ import annotations
@@ -197,6 +199,7 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=55)
     parser.add_argument("--parent-rev")
     parser.add_argument("--change-rev")
+    parser.add_argument("--control", help="a command the change leaves alone, e.g. desegment")
     args = parser.parse_args()
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -208,6 +211,7 @@ def main() -> int:
         "revisions": {"parent": revision(args.parent, args.parent_rev),
                       "change": revision(args.change, args.change_rev)},
         "seeds": args.seeds,
+        "control": args.control,
         "workloads": {},
     }
     dirs = {"parent": args.parent, "change": args.change}
