@@ -17,7 +17,8 @@ delta = 1 only exact matches count and it equals BLEU.
 
 Computation. Each sentence pair gets one table of the word positions
 (i, j) whose similarity is >= delta; each distinct word pair is scored
-once per sentence, and nothing is cached across sentences. As
+once per sentence. Only edit_distance's match masks of a word are shared
+across sentences (`metrics.lcs`), and no result depends on them. As
 edit_distance >= |len w - len v|, a pair with
 1 - |len w - len v| / max(len w, len v) < delta cannot reach delta and is
 not scored. The order-n contribution at (i, j) is the order-(n-1) one
@@ -75,10 +76,11 @@ def _similar_pairs(
 ) -> dict[tuple[int, int], float]:
     """{(i, j): similarity} for the word positions whose similarity is >= delta."""
     table: dict[tuple[int, int], float] = {}
-    ref_at = _positions(ref)
+    ref_at = [(v, len(v), v_at) for v, v_at in _positions(ref).items()]
     for w, w_at in _positions(hyp).items():
-        for v, v_at in ref_at.items():
-            if w != v and 1.0 - abs(len(w) - len(v)) / max(len(w), len(v)) < delta:
+        lw = len(w)
+        for v, lv, v_at in ref_at:
+            if w != v and 1.0 - abs(lw - lv) / (lw if lw > lv else lv) < delta:
                 continue
             s = word_similarity(w, v)
             if s >= delta:

@@ -1,7 +1,11 @@
-"""tools/bench_compare.py: seed lists and the collation of parent/change pairs."""
+"""tools/bench_compare.py: seed lists, revisions and the collation of parent/change pairs."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location(
     "bench_compare", Path(__file__).resolve().parent.parent / "tools" / "bench_compare.py")
@@ -165,3 +169,44 @@ def test_compile_sources_writes_bytecode(tmp_path):
     (tmp_path / "src" / "m.py").write_text("X = 1\n")
     bench_compare.compile_sources(tmp_path)  # perfbench/ and tests/ may be absent
     assert list((tmp_path / "src" / "__pycache__").glob("m.*.pyc"))
+
+
+def write_tree(root: Path, files: dict) -> Path:
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_revision_of_a_tree_outside_git_hashes_its_sources(tmp_path):
+    files = {"src/pkg/__init__.py": "", "src/pkg/a.py": "x = 1\n", "README.md": "r\n"}
+    one = write_tree(tmp_path / "one", files)
+    two = write_tree(tmp_path / "two", files)
+    rev = bench_compare.revision(one, None)
+    assert rev.startswith("src-sha256:") and len(rev) == len("src-sha256:") + 64
+    # build leftovers and files outside src/ do not count; a given revision wins
+    write_tree(two, {"src/pkg/__pycache__/a.cpython-311.pyc": "?", "README.md": "other\n"})
+    assert bench_compare.revision(two, None) == rev
+    assert bench_compare.revision(two, "abc123") == "abc123"
+    # a changed byte, or the same bytes under another path, changes the hash
+    write_tree(two, {"src/pkg/a.py": "x = 2\n"})
+    assert bench_compare.revision(two, None) != rev
+    (two / "src/pkg/a.py").rename(two / "src/pkg/b.py")
+    write_tree(two, {"src/pkg/b.py": "x = 1\n"})
+    assert bench_compare.revision(two, None) != rev
+
+
+def test_revision_of_a_git_checkout_is_its_head(tmp_path):
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    repo = write_tree(tmp_path / "repo", {"src/pkg/a.py": "x = 1\n"})
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "m"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert bench_compare.revision(repo, None) == head
+    # a copy inside the work tree is not the repository's HEAD
+    copy = write_tree(repo / "copy", {"src/pkg/a.py": "x = 1\n"})
+    assert bench_compare.revision(copy, None) == bench_compare.source_hash(copy / "src")

@@ -59,6 +59,59 @@ def test_lengths_at_word_boundaries(n):
         assert_agrees(a, "".join(rng.choices("abc", k=m)))
 
 
+def assert_edit_agrees(a: str, b: str) -> None:
+    want = lcs._edit_distance_py(lcs.encode(a), lcs.encode(b))
+    assert edit_distance(a, b) == edit_distance(b, a) == want, (a, b)
+    if len(a) + len(b) <= 24:
+        assert want == brute_force_edit(a, b), (a, b)
+
+
+def test_cached_word_as_longer_then_shorter_string():
+    # edit_distance caches the masks of the longer string only; the same
+    # word must give the same distances whichever side it is on, and
+    # whether its masks are built or reused
+    lcs._word_masks.cache_clear()
+    word = "कखगकघ"
+    for other in ("कखगकघङ" * 2, "खग", "कखगकघ", "घकगखक", "क", "कखगकघङच", "ङचछ"):
+        assert_edit_agrees(word, other)
+        assert_edit_agrees(other, word)
+    assert lcs._word_masks.cache_info().hits > 0
+
+
+def test_repeated_pairs_read_the_cache():
+    rng = random.Random(6)
+    words = ["".join(rng.choices("abcd", k=rng.randint(0, lcs._CACHED_LENGTH))) for _ in range(80)]
+    pairs = list(zip(words[::2], words[1::2]))
+    lcs._word_masks.cache_clear()
+    for a, b in pairs:
+        assert_edit_agrees(a, b)
+    built = lcs._word_masks.cache_info().misses
+    for a, b in pairs:
+        assert_edit_agrees(a, b)
+    assert lcs._word_masks.cache_info().misses == built
+    # callers only read the cached masks, so each is still what _match_masks builds
+    for a, b in pairs:
+        longer = max(a, b, key=len)
+        assert lcs._word_masks(longer) == lcs._match_masks(longer)
+
+
+def test_evicted_words_are_rebuilt():
+    maxsize = lcs._word_masks.cache_info().maxsize
+    rng = random.Random(7)
+    words = list(dict.fromkeys(
+        "".join(rng.choices("abcdef", k=rng.randint(8, 12))) for _ in range(3 * maxsize)))
+    words = words[:maxsize + 100]
+    assert len(words) == maxsize + 100
+    lcs._word_masks.cache_clear()
+    want = [lcs._edit_distance_py(lcs.encode(w), lcs.encode("abc")) for w in words]
+    assert [edit_distance(w, "abc") for w in words] == want
+    info = lcs._word_masks.cache_info()
+    assert (info.misses, info.currsize) == (maxsize + 100, maxsize)
+    # the first 100 words are evicted; they and the rest still score the same
+    assert [edit_distance("abc", w) for w in words] == want
+    assert lcs._word_masks.cache_info().misses > maxsize + 100
+
+
 def affix_pairs(seed):
     # prefix + middle + suffix, where the prefix and suffix that lcs_length
     # strips are 29-65 code points together, so the stripped length falls on
@@ -81,11 +134,14 @@ def test_shared_affixes_agree_with_plain_dp():
         assert_agrees(b, a)
 
 
-@pytest.mark.parametrize("n", [0, 1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [0, 1, 29, 30, 31, 32, 33, 59, 60, 61, 63, 64, 65, 130])
 def test_equal_strings_at_word_boundaries(n):
+    # edit_distance reads the distance off the last column's deltas; 32 and
+    # 33 straddle the longest string whose masks it caches
     s = "".join(random.Random(n).choices("abc", k=n))
     assert lcs_length(s, s) == len(s)
     assert edit_distance(s, s) == 0
+    assert edit_distance(s, "") == edit_distance("", s) == n
     assert_agrees(s, s)
 
 

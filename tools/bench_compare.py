@@ -35,15 +35,17 @@ Per side it adds up the checks attempted and failed, takes the highest
 load average seen before a run (a busy host slows both sides unevenly),
 and counts the runs that exited non-zero, whose pairs are left out of the
 summaries but stay in the pairs run that `gained` divides by. It also
-keeps every run's figures, the seeds and the two revisions (a checkout's
-`git rev-parse HEAD` unless given). `--control` records the command that
-the change should leave alone, whose figures show how far the two sides
-drift apart on code they share.
+keeps every run's figures, the seeds and the two revisions: the one
+given, else a git checkout's `HEAD` commit, else `src-sha256:HEX`, a
+hash of the checkout's `src/` tree (see `source_hash`). `--control`
+records the command that the change should leave alone, whose figures
+show how far the two sides drift apart on code they share.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -63,12 +65,33 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
-def revision(checkout: Path, given: str | None) -> str | None:
+def source_hash(src: Path) -> str:
+    """`src-sha256:HEX` over a source tree's files in sorted relative-path
+    order, each as its path, its length and its bytes; `__pycache__` and
+    `*.egg-info`, which compiling and installing leave behind, are skipped."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*") if p.is_file()):
+        rel = path.relative_to(src)
+        if any(part == "__pycache__" or part.endswith(".egg-info") for part in rel.parts):
+            continue
+        data = path.read_bytes()
+        digest.update(f"{rel.as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return f"src-sha256:{digest.hexdigest()}"
+
+
+def revision(checkout: Path, given: str | None) -> str:
+    """The revision given, else the commit a checkout that is a git work
+    tree's top level has checked out, else a hash of its `src/` tree (a
+    `git archive` copy, or a directory inside another repository)."""
     if given:
         return given
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    lines = proc.stdout.split("\n")
+    if proc.returncode == 0 and Path(lines[0]).resolve() == checkout.resolve():
+        return lines[1]
+    return source_hash(checkout / "src")
 
 
 def compile_sources(checkout: Path) -> None:
