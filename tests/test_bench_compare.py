@@ -207,6 +207,9 @@ def test_revision_of_a_git_checkout_is_its_head(tmp_path):
     head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
                           text=True).stdout.strip()
     assert bench_compare.revision(repo, None) == head
+    # uncommitted changes under src/ are not what HEAD holds
+    write_tree(repo, {"src/pkg/a.py": "x = 2\n"})
+    assert bench_compare.revision(repo, None) == bench_compare.source_hash(repo / "src")
     # a copy inside the work tree is not the repository's HEAD
     copy = write_tree(repo / "copy", {"src/pkg/a.py": "x = 1\n"})
     assert bench_compare.revision(copy, None) == bench_compare.source_hash(copy / "src")

@@ -137,6 +137,12 @@ class TestSyllabifyClassify:
             "ी\tDevanagari\tDependentVowel",
             "q\tDevanagari\tNonScript",
         ]
+        # the three signs after a consonant, ZWJ and an ASCII class letter
+        status, out = invoke(["classify", "--script", "Devanagari"], "कंँः\u200dx\n")
+        assert status == 0
+        assert [row.split("\t")[2] for row in out.splitlines()] == [
+            "Consonant", "Anusvara", "Chandrabindu", "Visarga", "OtherSign", "NonScript",
+        ]
         # a tab or CR is written as its code point, so every row keeps three fields
         status, out = invoke(["classify", "--script", "Latin"], "a\tb\rc\n")
         assert status == 0

@@ -36,10 +36,11 @@ load average seen before a run (a busy host slows both sides unevenly),
 and counts the runs that exited non-zero, whose pairs are left out of the
 summaries but stay in the pairs run that `gained` divides by. It also
 keeps every run's figures, the seeds and the two revisions: the one
-given, else a git checkout's `HEAD` commit, else `src-sha256:HEX`, a
-hash of the checkout's `src/` tree (see `source_hash`). `--control`
-records the command that the change should leave alone, whose figures
-show how far the two sides drift apart on code they share.
+given, else a git checkout's `HEAD` commit if its `src/` has no
+uncommitted change, else `src-sha256:HEX`, a hash of the checkout's
+`src/` tree (see `source_hash`). `--control` records the command that
+the change should leave alone, whose figures show how far the two sides
+drift apart on code they share.
 """
 
 from __future__ import annotations
@@ -83,14 +84,19 @@ def source_hash(src: Path) -> str:
 def revision(checkout: Path, given: str | None) -> str:
     """The revision given, else the commit a checkout that is a git work
     tree's top level has checked out, else a hash of its `src/` tree (a
-    `git archive` copy, or a directory inside another repository)."""
+    `git archive` copy, a directory inside another repository, or a work
+    tree whose `src/` differs from its commit)."""
     if given:
         return given
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+    git = ["git", "-C", str(checkout)]
+    proc = subprocess.run(git + ["rev-parse", "--show-toplevel", "HEAD"],
                           capture_output=True, text=True)
     lines = proc.stdout.split("\n")
     if proc.returncode == 0 and Path(lines[0]).resolve() == checkout.resolve():
-        return lines[1]
+        status = subprocess.run(git + ["status", "--porcelain", "--", "src"],
+                                capture_output=True, text=True)
+        if status.returncode == 0 and not status.stdout:
+            return lines[1]
     return source_hash(checkout / "src")
 
 
