@@ -22,8 +22,8 @@ from ..errors import (
     ascii_int,
     raise_at_line,
 )
-from ..segment import DEFAULT_MARKER, detokenize
-from .bleu import DEFAULT_MAX_N, sentence_bleu_smoothed
+from ..segment import DEFAULT_MARKER, check_marker, detokenize
+from .bleu import DEFAULT_MAX_N, check_max_n, sentence_bleu_smoothed
 
 _SEP = " ||| "
 
@@ -114,9 +114,13 @@ def rescore_nbest(
     """Append word-level smoothed BLEU to every entry of a sub-word n-best list.
 
     Each entry's tokens are desegmented to words via the boundary marker and
-    scored against the word-level reference with the same sentence id. Errors
-    name the entry's line, and the list's source, if parse_nbest read it.
+    scored against the word-level reference with the same sentence id. The
+    parameters are checked before the first entry; a bad one raises without
+    a line number. Errors in an entry name its line, and the list's source,
+    if parse_nbest read it.
     """
+    check_marker(marker)
+    check_max_n(max_n)
     rescored: list[NBestEntry] = []
     ref_id, ref_words = None, ()
     for entry in nbest.entries:

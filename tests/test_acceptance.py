@@ -13,27 +13,25 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-from lcs_oracle import brute_force_lcs  # noqa: E402
-from pearson_oracle import pearson_oracle  # noqa: E402
-from textgen import hindi_like_corpus, random_sentences  # noqa: E402
-
-from orthosyl.corpus import load_corpus, vocab_stats  # noqa: E402
-from orthosyl.metrics import (  # noqa: E402
+from lcs_oracle import brute_force_lcs
+from pearson_oracle import pearson_oracle
+from textgen import hindi_like_corpus, random_sentences
+from orthosyl.corpus import load_corpus, vocab_stats
+from orthosyl.metrics import (
     bleu,
     lcs_length,
     lebleu,
     lebleu_report,
     pearson,
 )
-from orthosyl.segment import (  # noqa: E402
+from orthosyl.segment import (
     MorphLexicon,
     UnitScheme,
     detokenize,
     segment_word,
     tokenize_sentence,
 )
-from orthosyl.syllabify import syllabify  # noqa: E402
+from orthosyl.syllabify import syllabify
 
 DATA_DIR = Path(__file__).parent / "data"
 

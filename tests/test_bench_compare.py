@@ -1,6 +1,8 @@
-"""tools/bench_compare.py: seed lists, revisions and the collation of parent/change pairs."""
+"""tools/bench_compare.py: seed lists, revisions, the runs main() makes and the
+collation of parent/change pairs."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -183,18 +185,17 @@ def test_revision_of_a_tree_outside_git_hashes_its_sources(tmp_path):
     files = {"src/pkg/__init__.py": "", "src/pkg/a.py": "x = 1\n", "README.md": "r\n"}
     one = write_tree(tmp_path / "one", files)
     two = write_tree(tmp_path / "two", files)
-    rev = bench_compare.revision(one, None)
+    rev = bench_compare.revision(one)
     assert rev.startswith("src-sha256:") and len(rev) == len("src-sha256:") + 64
-    # build leftovers and files outside src/ do not count; a given revision wins
+    # build leftovers and files outside src/ do not count
     write_tree(two, {"src/pkg/__pycache__/a.cpython-311.pyc": "?", "README.md": "other\n"})
-    assert bench_compare.revision(two, None) == rev
-    assert bench_compare.revision(two, "abc123") == "abc123"
+    assert bench_compare.revision(two) == rev
     # a changed byte, or the same bytes under another path, changes the hash
     write_tree(two, {"src/pkg/a.py": "x = 2\n"})
-    assert bench_compare.revision(two, None) != rev
+    assert bench_compare.revision(two) != rev
     (two / "src/pkg/a.py").rename(two / "src/pkg/b.py")
     write_tree(two, {"src/pkg/b.py": "x = 1\n"})
-    assert bench_compare.revision(two, None) != rev
+    assert bench_compare.revision(two) != rev
 
 
 def test_revision_of_a_git_checkout_is_its_head(tmp_path):
@@ -206,10 +207,34 @@ def test_revision_of_a_git_checkout_is_its_head(tmp_path):
         subprocess.run(git + args, check=True, capture_output=True)
     head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
                           text=True).stdout.strip()
-    assert bench_compare.revision(repo, None) == head
+    assert bench_compare.revision(repo) == head
     # uncommitted changes under src/ are not what HEAD holds
     write_tree(repo, {"src/pkg/a.py": "x = 2\n"})
-    assert bench_compare.revision(repo, None) == bench_compare.source_hash(repo / "src")
+    assert bench_compare.revision(repo) == bench_compare.source_hash(repo / "src")
     # a copy inside the work tree is not the repository's HEAD
     copy = write_tree(repo / "copy", {"src/pkg/a.py": "x = 1\n"})
-    assert bench_compare.revision(copy, None) == bench_compare.source_hash(copy / "src")
+    assert bench_compare.revision(copy) == bench_compare.source_hash(copy / "src")
+
+
+def test_main_runs_every_workload_of_the_benchmark_at_its_run_length(tmp_path, monkeypatch):
+    benchmark = json.loads((bench_compare.ROOT / "BENCHMARK.json").read_text())
+    figures = {m["name"]: 1.0 for m in benchmark["end_to_end"]}
+    argvs = []
+
+    def run_once(checkout, argv):
+        argvs.append(argv)
+        return {"exit": 0, "load": 0.5, "attempted": 10, "failed": 0,
+                "scaled": figures, "raw": figures}
+
+    monkeypatch.setattr(bench_compare, "run_once", run_once)
+    monkeypatch.setattr(bench_compare, "compile_sources", lambda checkout: None)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["bench_compare.py", str(tmp_path), str(tmp_path),
+                                     "--label", "t", "--seeds", "7-8"])
+    assert bench_compare.main() == 0
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert bench["command"] == "python3 perfbench/run.py --workload W --seed S --seconds 55 --trace 0"
+    assert list(bench["workloads"]) == ["hindi", "multiscript"]
+    # each run is the recorded command with its workload and seed, twice per pair
+    assert argvs == [bench["command"].replace("W", w).replace("S", s).split()
+                     for w in ("hindi", "multiscript") for s in ("7", "7", "8", "8")]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bleu_oracle
-from orthosyl.errors import AlignmentError, MalformedStreamError
+from orthosyl.errors import AlignmentError, MalformedStreamError, ParameterError
 from orthosyl.metrics import parse_nbest, rescore_nbest
 from orthosyl.metrics.nbest import NBestEntry, NBestList
 
@@ -130,6 +130,16 @@ def test_malformed_marker_stream_names_its_nbest_line():
         rescore_nbest(nbest, ["a b"])
     assert info.value.lineno == 2
     assert str(info.value) == "line 2: two consecutive boundary markers"
+
+
+@pytest.mark.parametrize("params", [{"marker": ""}, {"marker": "__"}, {"marker": " "},
+                                    {"max_n": 0}])
+def test_parameters_are_checked_before_the_first_entry(params):
+    # an empty list raises as a list with entries does, and with no line number
+    for lines, refs in (([], []), (["0 ||| a _ b ||| f ||| 1"], ["ab"])):
+        with pytest.raises(ParameterError) as info:
+            rescore_nbest(parse_nbest(lines), refs, **params)
+        assert not hasattr(info.value, "lineno")
 
 
 words = st.lists(st.sampled_from(["a", "b", "ab"]), max_size=12)

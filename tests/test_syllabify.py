@@ -16,7 +16,14 @@ from orthosyl.errors import (
     OrthosylError,
     UnsupportedScriptError,
 )
-from orthosyl.scripts import SUPPORTED_SCRIPTS, TABLES, CharClass, ScriptId, classify
+from orthosyl.scripts import (
+    SUPPORTED_SCRIPTS,
+    TABLES,
+    CharClass,
+    ScriptId,
+    classify,
+    is_nasalizer,
+)
 from orthosyl.syllabify import (
     OrthoSyllable,
     OSKind,
@@ -249,6 +256,28 @@ def test_visarga_and_signs_attach_left():
     assert texts(syllabify("क़लम")) == ["क़", "ल", "म"]  # nukta fuses
     zwj_word = "क्‍ष"
     assert "".join(texts(syllabify(zwj_word))) == unicodedata.normalize("NFC", zwj_word)
+
+
+@pytest.mark.parametrize("script", [s for s in SUPPORTED_SCRIPTS if s.is_abugida],
+                         ids=lambda s: s.value)
+def test_grammar_nasal_rule_is_is_nasalizer(script):
+    # the grammar states the nasal rule again ([AB](?!P) in _INDIC_UNIT):
+    # an anusvara or chandrabindu joins the unit on its left iff
+    # is_nasalizer says so, whatever code point follows it
+    table = TABLES[script]
+    block = [chr(cp) for cp in range(table.block_start, table.block_end + 1)]
+    base = next(ch for ch in block if table.classify(ch) is CharClass.CONSONANT)
+    nasals = [ch for ch in block
+              if table.classify(ch) in (CharClass.ANUSVARA, CharClass.CHANDRABINDU)]
+    checked = 0
+    for c1, c2 in itertools.product(nasals, block + ["\u200d", "\u200c", "x", None]):
+        word = base + c1 + (c2 or "")
+        if not unicodedata.is_normalized("NFC", word):
+            continue
+        first = syllabify_indic(word, script)[0].text
+        assert is_nasalizer(c1, c2, script) == first.startswith(base + c1), (c1, c2)
+        checked += 1
+    assert checked > len(nasals) * 100
 
 
 def test_no_os_has_two_dependent_vowels():

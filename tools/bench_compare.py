@@ -3,11 +3,12 @@
 Usage (from the repository root):
 
     python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR --label NAME \
-        --workloads hindi multiscript --seeds 101-110 [--seconds 55] \
-        [--parent-rev SHA] [--change-rev SHA] [--control COMMAND]
+        --seeds 101-110 [--control COMMAND]
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two versions. For every
-workload and seed it runs, in each checkout and one after the other,
+workload W of BENCHMARK.json, in the order listed there, and every seed S,
+it runs BENCHMARK.json's command at its `run_seconds` T in each checkout,
+one after the other,
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -35,12 +36,12 @@ Per side it adds up the checks attempted and failed, takes the highest
 load average seen before a run (a busy host slows both sides unevenly),
 and counts the runs that exited non-zero, whose pairs are left out of the
 summaries but stay in the pairs run that `gained` divides by. It also
-keeps every run's figures, the seeds and the two revisions: the one
-given, else a git checkout's `HEAD` commit if its `src/` has no
-uncommitted change, else `src-sha256:HEX`, a hash of the checkout's
-`src/` tree (see `source_hash`). `--control` records the command that
-the change should leave alone, whose figures show how far the two sides
-drift apart on code they share.
+keeps every run's figures, the seeds and the two revisions: a git
+checkout's `HEAD` commit if its `src/` has no uncommitted change, else
+`src-sha256:HEX`, a hash of the checkout's `src/` tree (see
+`source_hash`). `--control` records the command that the change should
+leave alone, whose figures show how far the two sides drift apart on code
+they share.
 """
 
 from __future__ import annotations
@@ -81,13 +82,11 @@ def source_hash(src: Path) -> str:
     return f"src-sha256:{digest.hexdigest()}"
 
 
-def revision(checkout: Path, given: str | None) -> str:
-    """The revision given, else the commit a checkout that is a git work
-    tree's top level has checked out, else a hash of its `src/` tree (a
-    `git archive` copy, a directory inside another repository, or a work
-    tree whose `src/` differs from its commit)."""
-    if given:
-        return given
+def revision(checkout: Path) -> str:
+    """The commit a checkout that is a git work tree's top level has checked
+    out, else a hash of its `src/` tree (a `git archive` copy, a directory
+    inside another repository, or a work tree whose `src/` differs from its
+    commit)."""
     git = ["git", "-C", str(checkout)]
     proc = subprocess.run(git + ["rev-parse", "--show-toplevel", "HEAD"],
                           capture_output=True, text=True)
@@ -112,15 +111,17 @@ def compile_sources(checkout: Path) -> None:
                    cwd=checkout, check=True, capture_output=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_argv(benchmark: dict, workload: str, seed: int | str) -> list[str]:
+    """BENCHMARK.json's command for one workload and seed at its run length."""
+    return [*benchmark["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{benchmark['run_seconds']:g}", "--trace", "0"]
+
+
+def run_once(checkout: Path, argv: list[str]) -> dict:
     """One benchmark run: the result line's metrics plus the report's raw
     figures, and the host's one-minute load average before it started."""
     load = os.getloadavg()[0]
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True,
-    )
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         return {"exit": proc.returncode, "load": load, "stderr": proc.stderr[-2000:]}
@@ -223,22 +224,17 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=seed_list, required=True, help="e.g. 101-110 or 1,5,9")
-    parser.add_argument("--seconds", type=float, default=55)
-    parser.add_argument("--parent-rev")
-    parser.add_argument("--change-rev")
     parser.add_argument("--control", help="a command the change leaves alone, e.g. desegment")
     args = parser.parse_args()
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = benchmark["end_to_end"]
     out_path = Path(f"BENCH_{args.label}.json")
     bench = {
         "label": args.label,
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "revisions": {"parent": revision(args.parent, args.parent_rev),
-                      "change": revision(args.change, args.change_rev)},
+        "command": " ".join(run_argv(benchmark, "W", "S")),
+        "revisions": {"parent": revision(args.parent), "change": revision(args.change)},
         "seeds": args.seeds,
         "control": args.control,
         "workloads": {},
@@ -246,13 +242,13 @@ def main() -> int:
     dirs = {"parent": args.parent, "change": args.change}
     for checkout in dirs.values():
         compile_sources(checkout)
-    for workload in args.workloads:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         pairs: list[dict] = []
         for idx, seed in enumerate(args.seeds):
             order = SIDES if idx % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(dirs[side], workload, seed, args.seconds)
+                pair[side] = run_once(dirs[side], run_argv(benchmark, workload, seed))
             pairs.append(pair)
             bench["workloads"][workload] = {**collate(pairs, metrics), "pairs": pairs}
             out_path.write_text(json.dumps(bench, indent=1) + "\n")
